@@ -32,25 +32,16 @@ NOISE_BAND = 0.50
 # Ratio floors: fast path vs its in-process reference twin. These are far
 # below the observed speedups (count ~3x, split ~1.5x, columnar ~1.1-2.7x)
 # but above 1/noise, so a genuinely undone optimization trips them.
-# batch_speedup_vs_oneshot is ~1.0 by construction on non-AVX2 builds
-# (sha256_batch serial-loops the one-shot there) but the two arms are
-# timed separately, so quick runs have shown 0.62-1.07; the 0.45 floor
-# only catches a collapse (e.g. batch recomputing work). The subtler
-# "dispatch wrongly routes through the scalar-codegen 4-lane path"
-# case is pinned at compile time (BATCH_INTERLEAVES) and its cost is
-# surfaced by the separately-reported interleaved_x4 arm.
 RATIO_FLOORS = {
     ("scan_mb_per_s", "speedup_count"): 1.5,
     ("scan_mb_per_s", "speedup_split"): 1.1,
     ("analyzer_scan_us", "columnar_speedup"): 0.9,
-    ("sha256_mb_per_s", "batch_speedup_vs_oneshot"): 0.45,
 }
 # Absolute medians compared against baseline (higher is better).
 THROUGHPUT_KEYS = [
     ("scan_mb_per_s", "swar_count_newlines"),
     ("scan_mb_per_s", "swar_split_tabs"),
     ("sha256_mb_per_s", "oneshot"),
-    ("sha256_mb_per_s", "batch_dispatch"),
     ("hex_mb_per_s", "encode"),
     ("hex_mb_per_s", "decode"),
 ]
@@ -69,6 +60,12 @@ TIME_KEYS = [
 # walk holds it near 1.5x, leaving real margin under the ceiling.
 FOOTPRINT_RATIO_CEILING = 2.0
 RSS_RATIO_CEILING = 2.0
+# Full-window streaming is a windowed record loader in front of the batch
+# corpus build, so it must cost about what batch costs. Both arms run in
+# the same stream_smoke invocation on the same host, so these within-run
+# ratios travel across boxes.
+STREAM_WALL_RATIO_CEILING = 1.35
+STREAM_RSS_RATIO_CEILING = 1.05
 # Claim 3 of the bench: the proof must run at >= 10x the committed bench
 # fixture's scale (quick mode runs exactly 10x).
 MIN_SCALE_FACTOR = 10.0
@@ -220,7 +217,27 @@ def main_ingest(fresh_path, baseline_path):
              f"{rss_ratio:.2f} above the {RSS_RATIO_CEILING}x ceiling — "
              f"windowed streaming no longer holds the 1-month footprint")
 
-    # Gate 5: worker-scaling floor. The pool's best multi-worker point
+    # Gate 5: full-window streaming vs batch, wall time and peak RSS,
+    # both arms of the same run.
+    for label, num_keys, den_keys, ceiling in (
+        ("wall_ms.stream_full / wall_ms.batch",
+         ("wall_ms", "stream_full"), ("wall_ms", "batch"),
+         STREAM_WALL_RATIO_CEILING),
+        ("rss.stream_full_bytes / rss.batch_full_bytes",
+         ("rss", "stream_full_bytes"), ("rss", "batch_full_bytes"),
+         STREAM_RSS_RATIO_CEILING),
+    ):
+        num = getf(fresh, fresh_path, "streaming", *num_keys)
+        den = getf(fresh, fresh_path, "streaming", *den_keys)
+        if den <= 0:
+            fail(f"streaming.{'.'.join(den_keys)} = {den:g} — the batch "
+                 f"arm reported no measurement")
+        if num / den > ceiling:
+            fail(f"streaming.{label} = {num / den:.2f} above the "
+                 f"{ceiling}x ceiling — full-window streaming costs more "
+                 f"than the batch build it feeds")
+
+    # Gate 6: worker-scaling floor. The pool's best multi-worker point
     # must not lose to one worker (parity band on a single core, where
     # no speedup is physically available).
     cores = fresh["environment"].get("cpu_cores")
@@ -245,8 +262,8 @@ def main_ingest(fresh_path, baseline_path):
     if cores != base_cores or fresh_scale != base_scale:
         print(f"check_bench[ingest]: skipping absolute comparison "
               f"(cpu_cores {cores} vs {base_cores}, scale {fresh_scale} "
-              f"vs {base_scale}); identity, scale, memory-ceiling, and "
-              f"scaling-floor gates passed")
+              f"vs {base_scale}); identity, scale, memory-ceiling, "
+              f"stream/batch, and scaling-floor gates passed")
         return
     compared = 0
     base_points = {int(p["workers"]): float(p["median_ms"])
@@ -269,7 +286,8 @@ def main_ingest(fresh_path, baseline_path):
 
     print(f"check_bench[ingest]: ok — identity, {factor:g}x scale, "
           f"footprint {fp_ratio:.2f}x / rss {rss_ratio:.2f}x under the "
-          f"{RSS_RATIO_CEILING}x ceiling, scaling floor held, "
+          f"{RSS_RATIO_CEILING}x ceiling, stream/batch wall and rss "
+          f"ceilings held, scaling floor held, "
           f"{compared} absolute medians within the noise band of "
           f"{os.path.basename(baseline_path)}")
 

@@ -2,8 +2,8 @@
 //!
 //! Two comparisons, matching the DESIGN.md "Performance" section:
 //!
-//! 1. `ingest_end_to_end` — the full `load_dir → build_corpus` pipeline,
-//!    serial reference loader vs the sharded parallel loader over a
+//! 1. `ingest_end_to_end` — the full `load_dir → build_corpus_obs`
+//!    pipeline, one worker vs the sharded parallel loader over a
 //!    rotated 23-month directory (the speedup recorded in
 //!    `BENCH_ingest.json`).
 //! 2. `fp_index` — the fingerprint index at the heart of `Corpus::build`:
@@ -12,8 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtls_bench::{sim_output, BENCH_SCALE};
-use mtls_core::ingest::{load_dir, load_dir_obs, load_dir_serial};
-use mtls_core::pipeline::{build_corpus, build_corpus_obs, AnalysisInputs};
+use mtls_core::ingest::load_dir;
+use mtls_core::pipeline::{build_corpus_obs, AnalysisInputs};
 use mtls_core::IngestMode;
 use mtls_intern::{FxHashMap, Interner, Symbol};
 use mtls_obs::Obs;
@@ -170,6 +170,18 @@ mod baseline {
     }
 }
 
+/// Strict [`load_dir`] on `workers` threads, without observability.
+fn load(dir: &std::path::Path, workers: usize) -> AnalysisInputs {
+    load_dir(dir, IngestMode::Strict, workers, &Obs::noop(), None)
+        .expect("ingest")
+        .0
+}
+
+/// [`build_corpus_obs`] without observability.
+fn build_corpus(inputs: AnalysisInputs) -> mtls_core::Corpus {
+    build_corpus_obs(inputs, &Obs::noop(), None)
+}
+
 /// One rotated log directory, written once from the shared sim corpus.
 fn fixture_dir() -> &'static PathBuf {
     static CELL: OnceLock<PathBuf> = OnceLock::new();
@@ -188,7 +200,7 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
     // meta.tsv / ct.log parsed once for the baseline arm; the optimized
     // arms re-parse them inside load_dir, so the baseline is favored if
     // anything.
-    let template = load_dir_serial(dir).expect("template ingest");
+    let template = load(dir, 1);
     let mut group = c.benchmark_group(format!("ingest_end_to_end(scale={BENCH_SCALE})"));
     group.sample_size(10);
     group.bench_function("seed_alloc_parser_to_corpus", |b| {
@@ -210,15 +222,12 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
         })
     });
     group.bench_function("serial_load_dir_to_corpus", |b| {
-        b.iter(|| {
-            let inputs = load_dir_serial(dir).expect("serial ingest");
-            black_box(build_corpus(inputs).certs.len())
-        })
+        b.iter(|| black_box(build_corpus(load(dir, 1)).certs.len()))
     });
     group.bench_function("sharded_load_dir_to_corpus", |b| {
         b.iter(|| {
-            let inputs = load_dir(dir).expect("sharded ingest");
-            black_box(build_corpus(inputs).certs.len())
+            let workers = mtls_zeek::available_workers();
+            black_box(build_corpus(load(dir, workers)).certs.len())
         })
     });
     // The same path with a live Obs handle (span tree + batched counters +
@@ -227,8 +236,9 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
     group.bench_function("sharded_load_dir_to_corpus_instrumented", |b| {
         b.iter(|| {
             let obs = Obs::new();
+            let workers = mtls_zeek::available_workers();
             let (inputs, _diag) =
-                load_dir_obs(dir, IngestMode::Strict, &obs, None).expect("sharded ingest");
+                load_dir(dir, IngestMode::Strict, workers, &obs, None).expect("sharded ingest");
             black_box(build_corpus_obs(inputs, &obs, None).certs.len())
         })
     });
@@ -237,11 +247,11 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
 
 fn bench_ingest_components(c: &mut Criterion) {
     let dir = fixture_dir();
-    let template = load_dir_serial(dir).expect("template ingest");
+    let template = load(dir, 1);
     let mut group = c.benchmark_group("ingest_components");
     group.sample_size(10);
     group.bench_function("load_dir_serial_only", |b| {
-        b.iter(|| black_box(load_dir_serial(dir).expect("ingest").ssl.len()))
+        b.iter(|| black_box(load(dir, 1).ssl.len()))
     });
     group.bench_function("inputs_clone_only", |b| {
         b.iter(|| black_box(template.clone().ssl.len()))
@@ -269,15 +279,18 @@ fn bench_shard_readers(c: &mut Criterion) {
     let dir = fixture_dir();
     let mut group = c.benchmark_group("shard_readers");
     group.sample_size(10);
+    let strict = |workers| {
+        mtls_zeek::read_monthly(dir, IngestMode::Strict, workers, &Obs::noop(), None).expect("read")
+    };
     group.bench_function("read_monthly_serial", |b| {
         b.iter(|| {
-            let (ssl, x509) = mtls_zeek::read_monthly_serial(dir).expect("read");
+            let (ssl, x509, _) = strict(1);
             black_box((ssl.len(), x509.len()))
         })
     });
     group.bench_function("read_monthly_parallel", |b| {
         b.iter(|| {
-            let (ssl, x509) = mtls_zeek::read_monthly(dir).expect("read");
+            let (ssl, x509, _) = strict(mtls_zeek::available_workers());
             black_box((ssl.len(), x509.len()))
         })
     });

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mtls_bench::{corpus, sim_output, BENCH_SCALE};
 use mtls_core::analyze;
 use mtls_core::corpus::MetaKnowledge;
-use mtls_core::{run_pipeline, AnalysisInputs};
+use mtls_core::{run_pipeline_parallel, AnalysisInputs};
 use mtls_netsim::{generate, SimConfig};
 use std::hint::black_box;
 
@@ -34,7 +34,7 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("bench_full_pipeline", |b| {
         b.iter(|| {
             let sim = sim_output();
-            let out = run_pipeline(AnalysisInputs {
+            let out = run_pipeline_parallel(AnalysisInputs {
                 meta: MetaKnowledge::from_sim(&sim.meta),
                 ssl: sim.ssl.clone(),
                 x509: sim.x509.clone(),

@@ -1,5 +1,5 @@
 //! Hot-path throughput smoke: stable medians for the byte-level fast
-//! paths (SWAR TSV scanning, block-batched SHA-256, table-driven hex, the
+//! paths (SWAR TSV scanning, one-shot SHA-256, table-driven hex, the
 //! columnar analyzer scan) plus end-to-end ingest and a worker-scaling
 //! sweep, written as JSON for `ci/check_bench.py` to gate.
 //!
@@ -13,11 +13,10 @@
 
 use mtls_bench::{corpus, sim_output};
 use mtls_core::columns::conn_flag;
-use mtls_core::ingest::load_dir_obs;
-use mtls_core::{build_corpus_obs, Direction, IngestMode};
-use mtls_crypto::{hex, sha256, sha256_batch, sha256_x4, Sha256};
+use mtls_core::{build_corpus_obs, load_dir, Direction, IngestMode};
+use mtls_crypto::{hex, sha256, Sha256};
 use mtls_obs::Obs;
-use mtls_zeek::{read_monthly_pool, swar, write_ssl_log};
+use mtls_zeek::{available_workers, read_monthly, swar, write_ssl_log};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -114,8 +113,8 @@ fn main() {
         }
     });
 
-    // ---- SHA-256: one-shot vs streaming (the pre-rewrite path shape) vs
-    // 4-way batch, on certificate-blob-sized messages.
+    // ---- SHA-256: one-shot vs streaming (the pre-rewrite path shape), on
+    // certificate-blob-sized messages.
     let blob = vec![0xA5u8; 4096];
     let sha_iters = if quick { 64 } else { 256 };
     let sha_bytes = blob.len() * sha_iters;
@@ -134,17 +133,6 @@ fn main() {
                 h.update(chunk);
             }
             black_box(h.finalize());
-        }
-    });
-    let quads: Vec<&[u8]> = (0..4).map(|_| blob.as_slice()).collect();
-    let sha_batch = median_micros(&rounds, || {
-        for _ in 0..sha_iters / 4 {
-            black_box(sha256_batch(black_box(&quads)));
-        }
-    });
-    let sha_x4 = median_micros(&rounds, || {
-        for _ in 0..sha_iters / 4 {
-            black_box(sha256_x4([black_box(&blob), &blob, &blob, &blob]));
         }
     });
 
@@ -194,20 +182,27 @@ fn main() {
     sim.write_to_dir_rotated(&dir)
         .expect("write rotated fixture");
     let ingest_e2e = median_micros(&rounds, || {
-        let (inputs, diag) =
-            load_dir_obs(&dir, IngestMode::Strict, &Obs::noop(), None).expect("ingest");
+        let (inputs, diag) = load_dir(
+            &dir,
+            IngestMode::Strict,
+            available_workers(),
+            &Obs::noop(),
+            None,
+        )
+        .expect("ingest");
         let corpus = build_corpus_obs(inputs, &Obs::noop(), None);
         black_box((corpus.certs.len(), diag.stats.rows_parsed));
     });
     let parse_component = median_micros(&rounds, || {
         let (ssl, x509, stats) =
-            read_monthly_pool(&dir, IngestMode::Strict, 1).expect("read shards");
+            read_monthly(&dir, IngestMode::Strict, 1, &Obs::noop(), None).expect("read shards");
         black_box((ssl.len(), x509.len(), stats.rows_parsed));
     });
     let mut scaling = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let t = median_micros(&rounds, || {
-            let out = read_monthly_pool(&dir, IngestMode::Strict, workers).expect("read shards");
+            let out = read_monthly(&dir, IngestMode::Strict, workers, &Obs::noop(), None)
+                .expect("read shards");
             black_box((out.0.len(), out.1.len()));
         });
         scaling.push((workers, t));
@@ -218,8 +213,6 @@ fn main() {
     let scan_speedup_count = ratio(scalar_count as f64, swar_count as f64);
     let scan_speedup_split = ratio(scalar_split as f64, swar_split as f64);
     let sha_speedup_oneshot = ratio(sha_streaming as f64, sha_oneshot as f64);
-    let sha_speedup_batch = ratio(sha_oneshot as f64, sha_batch as f64);
-    let sha_speedup_x4 = ratio(sha_oneshot as f64, sha_x4 as f64);
     let columnar_speedup = ratio(row_scan as f64, columnar_scan as f64);
     let scaling_json = scaling
         .iter()
@@ -248,11 +241,7 @@ fn main() {
          \"sha256_mb_per_s\": {{\n    \
          \"oneshot\": {:.1},\n    \
          \"streaming_64b_chunks\": {:.1},\n    \
-         \"batch_dispatch\": {:.1},\n    \
-         \"interleaved_x4\": {:.1},\n    \
-         \"oneshot_speedup_vs_streaming\": {sha_speedup_oneshot:.2},\n    \
-         \"batch_speedup_vs_oneshot\": {sha_speedup_batch:.2},\n    \
-         \"x4_speedup_vs_oneshot\": {sha_speedup_x4:.2}\n  }},\n  \
+         \"oneshot_speedup_vs_streaming\": {sha_speedup_oneshot:.2}\n  }},\n  \
          \"hex_mb_per_s\": {{\"encode\": {:.1}, \"decode\": {:.1}}},\n  \
          \"analyzer_scan_us\": {{\n    \
          \"columnar_ports_fold\": {columnar_scan},\n    \
@@ -262,7 +251,7 @@ fn main() {
          \"end_to_end_median\": {:.2},\n    \
          \"parse_component_median\": {:.2}\n  }},\n  \
          \"worker_scaling\": [{scaling_json}],\n  \
-         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs. interleaved_x4 is the 4-lane variant measured explicitly; on baseline x86-64 LLVM keeps the lanes scalar so batch_dispatch falls back to the one-shot loop there (it only routes quads through x4 when the build targets AVX2). Worker scaling is shard-level; on a 1-core box all worker counts collapse to the serial path.\"\n}}\n",
+         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs. Worker scaling is shard-level; on a 1-core box all worker counts collapse to the serial path.\"\n}}\n",
         rounds.warmup,
         rounds.measured,
         mb_per_s(scan_bytes, swar_count),
@@ -271,8 +260,6 @@ fn main() {
         mb_per_s(scan_bytes, scalar_split),
         mb_per_s(sha_bytes, sha_oneshot),
         mb_per_s(sha_bytes, sha_streaming),
-        mb_per_s(sha_bytes, sha_batch),
-        mb_per_s(sha_bytes, sha_x4),
         mb_per_s(raw.len(), hex_encode),
         mb_per_s(encoded.len(), hex_decode),
         ingest_e2e as f64 / 1000.0,

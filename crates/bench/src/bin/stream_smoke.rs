@@ -17,7 +17,7 @@
 //!    largest single month (the paper-scale "1-month footprint").
 //! 3. **Scale** — the fixture is generated at ≥ 10× the committed bench
 //!    fixture's scale (`--quick`: 10×, full: 100×).
-//! 4. **Worker scaling** — the `read_monthly_pool` sweep stays regression-
+//! 4. **Worker scaling** — the `read_monthly` worker sweep stays regression-
 //!    gated (absolute medians compared only on matching `cpu_cores`).
 //!
 //! Usage: `stream_smoke [--quick] [OUT_JSON]` (default
@@ -29,8 +29,8 @@ use std::process::Command;
 use std::time::Instant;
 
 use mtls_core::{
-    load_dir_obs, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs, IngestMode,
-    StreamOptions,
+    load_dir, run_pipeline, run_pipeline_streamed_parallel_obs, IngestMode, StreamOptions,
+    ANALYZE_SHARDS,
 };
 use mtls_crypto::{hex, sha256};
 use mtls_netsim::{generate, SimConfig};
@@ -102,8 +102,10 @@ fn phase_gen(dir: &Path, scale: f64) {
 fn phase_batch(dir: &Path) {
     let obs = Obs::noop();
     let t = Instant::now();
-    let (inputs, _diag) = load_dir_obs(dir, IngestMode::Strict, &obs, None).expect("batch load");
-    let out = run_pipeline_parallel_obs(inputs, &obs, None);
+    let workers = mtls_zeek::available_workers();
+    let (inputs, _diag) =
+        load_dir(dir, IngestMode::Strict, workers, &obs, None).expect("batch load");
+    let out = run_pipeline(inputs, ANALYZE_SHARDS, &obs, None);
     let wall_ms = t.elapsed().as_millis();
     let sha = report_sha(&out.render_all());
     println!(
@@ -297,12 +299,13 @@ fn main() {
         ju64(&swin, "peak_rss_bytes"),
     );
 
-    eprintln!("stream_smoke: worker-scaling sweep (read_monthly_pool)");
+    eprintln!("stream_smoke: worker-scaling sweep (read_monthly)");
     let mut points = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let micros = median_micros(&rounds, || {
-            let parsed = mtls_zeek::read_monthly_pool(&fixture, IngestMode::Strict, workers)
-                .expect("pool read");
+            let parsed =
+                mtls_zeek::read_monthly(&fixture, IngestMode::Strict, workers, &Obs::noop(), None)
+                    .expect("pool read");
             std::hint::black_box(&parsed);
         });
         points.push(format!(

@@ -4,23 +4,22 @@
 //!   repro [--seed N] [--scale F] [--logs DIR] [--out FILE] [--tsv DIR]
 //!         [--from-logs DIR] [--strict | --lenient]
 //!         [--max-error-rate FRACTION] [--stream] [--window Nmo]
-//!         [--ct-legacy] [--metrics[=PATH]] [--progress] [--quiet]
+//!         [--metrics[=PATH]] [--progress] [--quiet]
 //!
 //! `--from-logs DIR` skips generation and analyzes an existing log
-//! directory (unrotated or monthly-rotated, with meta.tsv and ct.log).
-//! `--ct-legacy` discards the CT gossip evidence (ct_gossip.log) so the
-//! interception filter falls back to the legacy bare-issuer comparison —
-//! useful for A/B-ing the proof-carrying filter against the old one.
-//! `--strict` (default) aborts on the first malformed row; `--lenient`
+//! directory (unrotated or monthly-rotated, with meta.tsv and ct.log; a
+//! directory without ct_gossip.log runs the legacy bare-issuer
+//! interception filter). `--strict` (default) aborts on the first malformed row; `--lenient`
 //! skips malformed rows and quarantines unreadable shards, printing the
 //! ingest diagnostics with the report. `--max-error-rate 0.01` aborts a
 //! lenient run whose skipped fraction exceeds 1%.
 //!
 //! Streaming:
-//! * `--stream` ingests month by month through the incremental
-//!   `CorpusBuilder` instead of slurping everything — peak memory is
-//!   bounded by the live window, and on the same input the report is
-//!   byte-identical to the batch path.
+//! * `--stream` ingests month by month through the windowed
+//!   `CorpusBuilder` instead of slurping everything — peak memory while
+//!   loading is bounded by the live window, and the records then go
+//!   through the same corpus build as the batch path, so on the same
+//!   input the report is byte-identical.
 //! * `--window Nmo` (e.g. `--window 6mo`; implies `--stream`) keeps only
 //!   the newest N months live, retiring older epochs as the walk
 //!   advances — the analysis then covers exactly those months.
@@ -41,8 +40,8 @@
 //! report. With `--out`, also writes the rendering to a file.
 
 use mtls_core::{
-    run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder,
-    IngestMode, StreamOptions,
+    run_pipeline, run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder, IngestMode,
+    StreamOptions, ANALYZE_SHARDS,
 };
 use mtls_netsim::{generate_obs, SimConfig};
 use mtls_obs::{heartbeat, Console, Obs};
@@ -60,7 +59,6 @@ struct Args {
     max_error_rate: Option<f64>,
     stream: bool,
     window: Option<usize>,
-    ct_legacy: bool,
     /// `None` = metrics off; `Some(None)` = on, default location;
     /// `Some(Some(path))` = on, explicit location.
     metrics: Option<Option<String>>,
@@ -78,7 +76,6 @@ fn parse_args() -> Args {
     let mut max_error_rate = None;
     let mut stream = false;
     let mut window = None;
-    let mut ct_legacy = false;
     let mut metrics = None;
     let mut progress = false;
     let mut quiet = false;
@@ -133,7 +130,6 @@ fn parse_args() -> Args {
                 window = Some(months);
                 stream = true; // a rolling window only exists while streaming
             }
-            "--ct-legacy" => ct_legacy = true,
             "--metrics" => metrics = Some(None),
             "--progress" => progress = true,
             "--quiet" => quiet = true,
@@ -141,7 +137,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: repro [--seed N] [--scale F] [--logs DIR] [--out FILE] [--tsv DIR] \
                      [--from-logs DIR] [--strict | --lenient] [--max-error-rate FRACTION] \
-                     [--stream] [--window Nmo] [--ct-legacy] [--metrics[=PATH]] \
+                     [--stream] [--window Nmo] [--metrics[=PATH]] \
                      [--progress] [--quiet]"
                 );
                 std::process::exit(0);
@@ -166,7 +162,6 @@ fn parse_args() -> Args {
         max_error_rate,
         stream,
         window,
-        ct_legacy,
         metrics,
         progress,
         quiet,
@@ -217,7 +212,7 @@ fn main() {
         .then(|| heartbeat(obs.clone(), console, Duration::from_secs(2)));
 
     // What the load stage hands the pipeline: batch inputs, or streamed
-    // parts (pre-merged epoch aggregates plus the CT log).
+    // parts (the window's records) plus the CT evidence.
     enum Loaded {
         Batch(AnalysisInputs),
         Streamed(
@@ -262,7 +257,8 @@ fn main() {
                 }
             }
         } else {
-            match mtls_core::ingest::load_dir_obs(path, args.mode, &obs, run_id) {
+            let workers = mtls_zeek::available_workers();
+            match mtls_core::load_dir(path, args.mode, workers, &obs, run_id) {
                 Ok((inputs, diag)) => {
                     console.status(format!(
                         "  {} connections, {} unique certificates",
@@ -336,26 +332,10 @@ fn main() {
             Loaded::Batch(inputs)
         }
     };
-    // --ct-legacy: drop the gossip evidence so the pipeline takes the
-    // legacy bare-issuer interception path.
-    let loaded = if args.ct_legacy {
-        match loaded {
-            Loaded::Batch(mut inputs) => {
-                inputs.gossip = mtls_pki::GossipBundle::default();
-                Loaded::Batch(inputs)
-            }
-            Loaded::Streamed(parts, ct, _) => {
-                Loaded::Streamed(parts, ct, mtls_pki::GossipBundle::default())
-            }
-        }
-    } else {
-        loaded
-    };
-
     let t1 = std::time::Instant::now();
     console.status("running analysis pipeline...");
     let output = match loaded {
-        Loaded::Batch(inputs) => run_pipeline_parallel_obs(inputs, &obs, run_id),
+        Loaded::Batch(inputs) => run_pipeline(inputs, ANALYZE_SHARDS, &obs, run_id),
         Loaded::Streamed(parts, ct, gossip) => {
             run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &obs, run_id)
         }

@@ -28,7 +28,10 @@ use crate::stream::{CorpusBuilder, StreamParts};
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::ctlog::{CtEntry, CtLog};
 use mtls_pki::GossipBundle;
-use mtls_zeek::{IngestMode, IngestStats, Ipv4, ShardDiag, TsvError, ERROR_KINDS};
+use mtls_zeek::{
+    available_workers, IngestMode, IngestStats, Ipv4, ShardDiag, SslRecord, TsvError, X509Record,
+    ERROR_KINDS,
+};
 use std::io::BufReader;
 use std::path::Path;
 
@@ -85,7 +88,7 @@ struct MetaDiag {
 
 /// Structured diagnostics for one directory load: the Zeek-log shard
 /// accounting from [`IngestStats`], the meta-entry skips, and per-stage
-/// wall times. Returned by [`load_dir_with`] / [`load_dir_serial_with`].
+/// wall times. Returned by [`load_dir`] and [`load_dir_streaming_obs`].
 #[derive(Debug, Clone, Default)]
 pub struct IngestDiagnostics {
     pub mode: IngestMode,
@@ -440,24 +443,43 @@ fn stitch_singleton<T>(
     }
 }
 
-/// Load a directory into pipeline inputs plus [`IngestDiagnostics`].
-/// Accepts both the unrotated and the monthly-rotated layouts.
-///
-/// The four inputs are independent files, so `meta.tsv` and `ct.log`
-/// parse on their own scoped threads while the Zeek logs load (rotated
-/// shards additionally fan out inside [`mtls_zeek::read_monthly_with`]).
-/// Output is identical to [`load_dir_serial_with`].
-pub fn load_dir_with(
+/// Read the unrotated `ssl.log` / `x509.log` pair, the two files on their
+/// own threads when `workers > 1`. They are stitched in a fixed order (ssl
+/// before x509), so strict mode's first error does not depend on
+/// `workers`.
+fn read_singletons(
     dir: &Path,
     mode: IngestMode,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    load_dir_obs(dir, mode, &Obs::noop(), None)
+    workers: usize,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), IngestError> {
+    let ssl_path = dir.join("ssl.log");
+    let x509_path = dir.join("x509.log");
+    let read_ssl = || read_singleton(&ssl_path, mode, mtls_zeek::read_ssl_log_with, obs, parent);
+    let read_x509 = || read_singleton(&x509_path, mode, mtls_zeek::read_x509_log_with, obs, parent);
+    let ((s_diag, s_res), (x_diag, x_res)) = if workers > 1 {
+        std::thread::scope(|s| {
+            let ssl = s.spawn(read_ssl);
+            let x509 = read_x509();
+            (ssl.join().expect("ssl reader panicked"), x509)
+        })
+    } else {
+        (read_ssl(), read_x509())
+    };
+    let mut stats = IngestStats {
+        mode,
+        ..IngestStats::default()
+    };
+    let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
+    let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
+    Ok((ssl, x509, stats))
 }
 
 /// Fold the finished load into run-level throughput metrics: rows/sec and
 /// bytes/sec gauges derived from the logs stage wall time. (Gauges, not
-/// counters — they are rates of this run, and serial/sharded twins of the
-/// same corpus legitimately differ here.)
+/// counters — they are rates of this run, and loads of the same corpus on
+/// different worker counts legitimately differ here.)
 fn record_throughput(obs: &Obs, diag: &IngestDiagnostics) {
     if !obs.enabled() || diag.logs_micros == 0 {
         return;
@@ -467,158 +489,51 @@ fn record_throughput(obs: &Obs, diag: &IngestDiagnostics) {
     obs.gauge_set("ingest.bytes_per_sec", per_sec(diag.stats.bytes_read));
 }
 
-/// [`load_dir_with`] with observability: the load records an `ingest` span
-/// under `parent` with `meta` / `ct` / `logs` children (and one grandchild
-/// per shard), batched row/byte counters, a shard parse-latency histogram,
-/// and derived throughput gauges. The span durations are also what fills
-/// the wall-time fields of [`IngestDiagnostics`], so the diagnostics keep
-/// their shape whether or not `obs` is enabled.
-pub fn load_dir_obs(
+/// The scaffold every directory load shares: an `ingest` span under
+/// `parent` with `meta` / `ct` / `logs` children, the sidecar parses, and
+/// the [`IngestDiagnostics`] ledger. `read_logs` gets the parsed meta and
+/// the `logs` span and returns whatever it built from the Zeek logs plus
+/// their accounting. With `workers > 1`, `ct.log` and `ct_gossip.log`
+/// parse on their own thread while the logs load.
+///
+/// Errors surface in a fixed order — meta, ct, logs — whatever `workers`
+/// is. The span durations fill the wall-time fields of the diagnostics,
+/// so the ledger keeps its shape whether or not `obs` is enabled.
+fn load<T>(
     dir: &Path,
     mode: IngestMode,
+    workers: usize,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    let ingest_span = obs.span(parent, "ingest");
-    let ingest_id = ingest_span.id();
-    let result = std::thread::scope(|s| {
-        let meta_handle = s.spawn(move || parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id));
-        let ct_handle = s.spawn(move || {
-            let span = obs.span(ingest_id, "ct");
-            let res = parse_ct(&dir.join("ct.log"));
-            let gossip = parse_gossip(&dir.join("ct_gossip.log"));
-            (res, gossip, span.finish().as_micros() as u64)
-        });
-
-        let logs_span = obs.span(ingest_id, "logs");
-        let logs_id = logs_span.id();
-        let logs = if dir.join("ssl.log").exists() {
-            let ssl_handle = s.spawn(move || {
-                read_singleton(
-                    &dir.join("ssl.log"),
-                    mode,
-                    mtls_zeek::read_ssl_log_with,
-                    obs,
-                    logs_id,
-                )
-            });
-            let (x_diag, x_res) = read_singleton(
-                &dir.join("x509.log"),
-                mode,
-                mtls_zeek::read_x509_log_with,
-                obs,
-                logs_id,
-            );
-            let (s_diag, s_res) = ssl_handle.join().expect("ssl reader panicked");
-            // Stitch in serial order (ssl before x509) so strict mode's
-            // first-error choice matches load_dir_serial_with exactly.
-            (|| {
-                let mut stats = IngestStats {
-                    mode,
-                    ..IngestStats::default()
-                };
-                let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
-                let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
-                Ok((ssl, x509, stats))
-            })()
-        } else {
-            mtls_zeek::read_monthly_obs(dir, mode, obs, logs_id).map_err(IngestError::from)
-        };
-        let logs_micros = logs_span.finish().as_micros() as u64;
-
-        // Surface errors in the serial loader's order: meta, ct, logs.
-        let (meta, meta_diag) = meta_handle.join().expect("meta parser panicked")?;
-        let (ct_res, gossip_res, ct_micros) = ct_handle.join().expect("ct parser panicked");
-        let ct = ct_res?;
-        let gossip = gossip_res?;
-        let (ssl, x509, mut stats) = logs?;
-        stats.wall_micros = logs_micros;
-        let diagnostics = IngestDiagnostics {
-            mode,
-            stats,
-            meta_entries_skipped: meta_diag.entries_skipped,
-            meta_samples: meta_diag.samples,
-            meta_micros: meta_diag.wall_micros,
-            ct_micros,
-            logs_micros,
-            total_micros: 0, // stamped below, once the ingest span closes
-        };
-        Ok((
-            AnalysisInputs {
-                ssl,
-                x509,
-                ct,
-                gossip,
-                meta,
-            },
-            diagnostics,
-        ))
-    });
-    let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(|(inputs, mut diag)| {
-        diag.total_micros = total_micros;
-        record_throughput(obs, &diag);
-        (inputs, diag)
-    })
-}
-
-/// Serial reference loader: same contract and output as [`load_dir_with`],
-/// one file at a time. Kept as the equivalence and benchmark baseline.
-pub fn load_dir_serial_with(
-    dir: &Path,
-    mode: IngestMode,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    load_dir_serial_obs(dir, mode, &Obs::noop(), None)
-}
-
-/// [`load_dir_serial_with`] with the same observability as
-/// [`load_dir_obs`]: the two must produce identical span rows and counter
-/// totals on a clean corpus (durations aside).
-pub fn load_dir_serial_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    read_logs: impl FnOnce(MetaKnowledge, Option<SpanId>) -> Result<(T, IngestStats), IngestError>,
+) -> Result<(T, CtLog, GossipBundle, IngestDiagnostics), IngestError> {
     let ingest_span = obs.span(parent, "ingest");
     let ingest_id = ingest_span.id();
     let result = (|| {
         let (meta, meta_diag) = parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id)?;
-        let ct_span = obs.span(ingest_id, "ct");
-        let ct = parse_ct(&dir.join("ct.log"))?;
-        let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
-        let ct_micros = ct_span.finish().as_micros() as u64;
-
-        let logs_span = obs.span(ingest_id, "logs");
-        let logs_id = logs_span.id();
-        let (ssl, x509, mut stats) = if dir.join("ssl.log").exists() {
-            let mut stats = IngestStats {
-                mode,
-                ..IngestStats::default()
-            };
-            let (s_diag, s_res) = read_singleton(
-                &dir.join("ssl.log"),
-                mode,
-                mtls_zeek::read_ssl_log_with,
-                obs,
-                logs_id,
-            );
-            let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
-            let (x_diag, x_res) = read_singleton(
-                &dir.join("x509.log"),
-                mode,
-                mtls_zeek::read_x509_log_with,
-                obs,
-                logs_id,
-            );
-            let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
-            (ssl, x509, stats)
-        } else {
-            mtls_zeek::read_monthly_serial_obs(dir, mode, obs, logs_id)?
+        let parse_sidecars = || {
+            let span = obs.span(ingest_id, "ct");
+            let ct = parse_ct(&dir.join("ct.log"));
+            let gossip = parse_gossip(&dir.join("ct_gossip.log"));
+            (ct, gossip, span.finish().as_micros() as u64)
         };
-        let logs_micros = logs_span.finish().as_micros() as u64;
+        let load_logs = || {
+            let span = obs.span(ingest_id, "logs");
+            let logs = read_logs(meta, span.id());
+            (logs, span.finish().as_micros() as u64)
+        };
+        let ((ct, gossip, ct_micros), (logs, logs_micros)) = if workers > 1 {
+            std::thread::scope(|s| {
+                let sidecars = s.spawn(parse_sidecars);
+                let logs = load_logs();
+                (sidecars.join().expect("ct parser panicked"), logs)
+            })
+        } else {
+            (parse_sidecars(), load_logs())
+        };
+        let (ct, gossip) = (ct?, gossip?);
+        let (built, mut stats) = logs?;
         stats.wall_micros = logs_micros;
-
         let diagnostics = IngestDiagnostics {
             mode,
             stats,
@@ -629,23 +544,59 @@ pub fn load_dir_serial_obs(
             logs_micros,
             total_micros: 0, // stamped below, once the ingest span closes
         };
-        Ok((
-            AnalysisInputs {
-                ssl,
-                x509,
-                ct,
-                gossip,
-                meta,
-            },
-            diagnostics,
-        ))
+        Ok((built, ct, gossip, diagnostics))
     })();
     let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(|(inputs, mut diag): (AnalysisInputs, IngestDiagnostics)| {
+    result.map(|(built, ct, gossip, mut diag)| {
         diag.total_micros = total_micros;
         record_throughput(obs, &diag);
-        (inputs, diag)
+        (built, ct, gossip, diag)
     })
+}
+
+/// Load a directory into pipeline inputs plus [`IngestDiagnostics`].
+/// Accepts both the unrotated and the monthly-rotated layouts.
+///
+/// With `workers > 1` the independent files load concurrently: the CT
+/// sidecars on their own thread, the two singletons on two threads, or
+/// the rotated shards on a pool of `workers` threads
+/// ([`mtls_zeek::read_monthly`]). `workers <= 1` reads everything in
+/// order on the caller's thread. The records, diagnostics, span tree
+/// (`ingest` → `meta` / `ct` / `logs` → one span per log file) and
+/// counter totals do not depend on `workers`.
+pub fn load_dir(
+    dir: &Path,
+    mode: IngestMode,
+    workers: usize,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    let ((ssl, x509, meta), ct, gossip, diag) =
+        load(dir, mode, workers, obs, parent, |meta, logs_id| {
+            let (ssl, x509, stats) = if dir.join("ssl.log").exists() {
+                read_singletons(dir, mode, workers, obs, logs_id)?
+            } else {
+                mtls_zeek::read_monthly(dir, mode, workers, obs, logs_id)?
+            };
+            Ok(((ssl, x509, meta), stats))
+        })?;
+    let inputs = AnalysisInputs {
+        ssl,
+        x509,
+        ct,
+        gossip,
+        meta,
+    };
+    Ok((inputs, diag))
+}
+
+/// [`load_dir`] on [`mtls_zeek::available_workers`] threads, without
+/// observability.
+pub fn load_dir_with(
+    dir: &Path,
+    mode: IngestMode,
+) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    load_dir(dir, mode, available_workers(), &Obs::noop(), None)
 }
 
 /// Options for [`load_dir_streaming_obs`].
@@ -661,14 +612,14 @@ pub struct StreamOptions {
 /// time, pushing each month into a [`CorpusBuilder`] and (in window mode)
 /// retiring epochs that fall outside the rolling window, so peak memory
 /// is bounded by the window — not the corpus. Returns the builder's
-/// [`StreamParts`] (records in canonical month order, merged aggregate
-/// partials, interner), the CT log, and *cumulative* diagnostics: every
-/// epoch's stats are absorbed into one [`IngestDiagnostics`], so the
-/// `--max-error-rate` guard sees the whole stream, never a single month.
+/// [`StreamParts`] (records in canonical month order), the CT log, and
+/// *cumulative* diagnostics: every epoch's stats are absorbed into one
+/// [`IngestDiagnostics`], so the `--max-error-rate` guard sees the whole
+/// stream, never a single month.
 ///
-/// The span schema matches [`load_dir_obs`] — `ingest` with
-/// `meta`/`ct`/`logs` children and one `logs/<shard>` grandchild per
-/// shard file — plus the builder's `epoch_merge` child and `stream.*`
+/// The span schema matches [`load_dir`] — `ingest` with `meta`/`ct`/`logs`
+/// children and one `logs/<shard>` grandchild per shard file — plus one
+/// `logs/push_epoch` grandchild per push and the builder's `stream.*`
 /// gauges. An unrotated singleton directory degrades gracefully: the
 /// singletons are read whole, then partitioned into monthly epochs in
 /// memory, so windowing still works.
@@ -679,94 +630,40 @@ pub fn load_dir_streaming_obs(
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Result<(StreamParts, CtLog, GossipBundle, IngestDiagnostics), IngestError> {
-    let ingest_span = obs.span(parent, "ingest");
-    let ingest_id = ingest_span.id();
-    let result = (|| {
-        let (meta, meta_diag) = parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id)?;
-        let ct_span = obs.span(ingest_id, "ct");
-        let ct = parse_ct(&dir.join("ct.log"))?;
-        let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
-        let ct_micros = ct_span.finish().as_micros() as u64;
-
-        let logs_span = obs.span(ingest_id, "logs");
-        let logs_id = logs_span.id();
-        let mut builder = CorpusBuilder::new(meta).with_obs(obs, ingest_id);
-        let mut stats = IngestStats {
-            mode,
-            ..IngestStats::default()
+    let workers = available_workers();
+    load(dir, mode, workers, obs, parent, |meta, logs_id| {
+        let mut builder = CorpusBuilder::new(meta).with_obs(obs, logs_id);
+        // Evict months about to fall out of the window *before* reading
+        // the next month, so the peak live set is `window` months, never
+        // `window + 1`.
+        let make_room = |builder: &mut CorpusBuilder| {
+            if let Some(window) = opts.window_months {
+                builder.retire_for_incoming(window);
+            }
         };
-        if dir.join("ssl.log").exists() {
-            // Singleton layout: read whole, then partition into monthly
-            // epochs in memory so the push/retire lifecycle still runs.
-            let (s_diag, s_res) = read_singleton(
-                &dir.join("ssl.log"),
-                mode,
-                mtls_zeek::read_ssl_log_with,
-                obs,
-                logs_id,
-            );
-            let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
-            let (x_diag, x_res) = read_singleton(
-                &dir.join("x509.log"),
-                mode,
-                mtls_zeek::read_x509_log_with,
-                obs,
-                logs_id,
-            );
-            let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
+        let stats = if dir.join("ssl.log").exists() {
+            let (ssl, x509, stats) = read_singletons(dir, mode, workers, obs, logs_id)?;
             for (key, ssl_part, x509_part) in mtls_zeek::partition_monthly(ssl, x509) {
-                if let Some(window) = opts.window_months {
-                    builder.retire_for_incoming(window);
-                }
+                make_room(&mut builder);
                 builder.push_epoch(&key, ssl_part, x509_part);
             }
+            stats
         } else {
+            let mut stats = IngestStats {
+                mode,
+                ..IngestStats::default()
+            };
             for key in mtls_zeek::month_keys(dir)? {
-                // Evict months about to fall out of the window *before*
-                // reading the next shard pair, so the peak live set is
-                // `window` months, never `window + 1`.
-                if let Some(window) = opts.window_months {
-                    builder.retire_for_incoming(window);
-                }
+                make_room(&mut builder);
                 let (ssl_part, x509_part, month_stats) =
                     mtls_zeek::read_month_obs(dir, &key, mode, obs, logs_id)?;
                 stats.absorb_stats(month_stats);
                 builder.push_epoch(&key, ssl_part, x509_part);
             }
-        }
-        let logs_micros = logs_span.finish().as_micros() as u64;
-        stats.wall_micros = logs_micros;
-
-        let diagnostics = IngestDiagnostics {
-            mode,
-            stats,
-            meta_entries_skipped: meta_diag.entries_skipped,
-            meta_samples: meta_diag.samples,
-            meta_micros: meta_diag.wall_micros,
-            ct_micros,
-            logs_micros,
-            total_micros: 0, // stamped below, once the ingest span closes
+            stats
         };
-        Ok((builder.finish(), ct, gossip, diagnostics))
-    })();
-    let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(
-        |(parts, ct, gossip, mut diag): (StreamParts, CtLog, GossipBundle, IngestDiagnostics)| {
-            diag.total_micros = total_micros;
-            record_throughput(obs, &diag);
-            (parts, ct, gossip, diag)
-        },
-    )
-}
-
-/// Strict [`load_dir_with`] without the diagnostics — the historical API.
-pub fn load_dir(dir: &Path) -> Result<AnalysisInputs, IngestError> {
-    load_dir_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
-}
-
-/// Strict [`load_dir_serial_with`] without the diagnostics.
-pub fn load_dir_serial(dir: &Path) -> Result<AnalysisInputs, IngestError> {
-    load_dir_serial_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
+        Ok((builder.finish(), stats))
+    })
 }
 
 #[cfg(test)]
@@ -776,6 +673,19 @@ mod tests {
     const BASE_META: &str = "university_net\t172.29.0.0/16\ncampus_issuer_orgs\tX\n\
                              public_ca_orgs\t\nhealth_slds\t\nuniversity_slds\t\nvpn_slds\t\n\
                              localorg_slds\t\nglobus_slds\t\nnon_mtls_weight\t10\n";
+
+    /// Strict load, records only.
+    fn load_strict(dir: &Path) -> Result<AnalysisInputs, IngestError> {
+        load_dir_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
+    }
+
+    /// [`load_dir`] on `workers` threads, without observability.
+    fn load_on(
+        workers: usize,
+    ) -> impl Fn(&Path, IngestMode) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError>
+    {
+        move |dir, mode| load_dir(dir, mode, workers, &Obs::noop(), None)
+    }
 
     fn write_empty_logs(dir: &Path) {
         let mut ssl = Vec::new();
@@ -791,7 +701,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mtlscope-ingest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("meta.tsv"), "university_net\t10.0.0.0/8\n").unwrap();
-        let err = match load_dir(&dir) {
+        let err = match load_strict(&dir) {
             Err(e) => e,
             Ok(_) => panic!("incomplete meta must be rejected"),
         };
@@ -812,7 +722,7 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("x509.log"), [0xFFu8, 0xFE, 0x00, 0x80]).unwrap();
-        assert!(load_dir(&dir).is_err());
+        assert!(load_strict(&dir).is_err());
 
         // A malformed university_net is a BadMeta, not a panic.
         std::fs::write(
@@ -820,7 +730,7 @@ mod tests {
             BASE_META.replace("/16", "/notaprefix"),
         )
         .unwrap();
-        assert!(matches!(load_dir(&dir), Err(IngestError::BadMeta(_))));
+        assert!(matches!(load_strict(&dir), Err(IngestError::BadMeta(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -835,7 +745,7 @@ mod tests {
         std::fs::write(dir.join("meta.tsv"), meta).unwrap();
         write_empty_logs(&dir);
 
-        let inputs = load_dir(&dir).unwrap();
+        let inputs = load_strict(&dir).unwrap();
         assert!(inputs.ct.is_empty());
         assert!(inputs.ssl.is_empty());
         assert_eq!(inputs.meta.non_mtls_weight, 10.0);
@@ -860,7 +770,7 @@ mod tests {
         std::fs::write(dir.join("meta.tsv"), &meta).unwrap();
         write_empty_logs(&dir);
 
-        for loader in [load_dir_with, load_dir_serial_with] {
+        for loader in [load_on(1), load_on(4)] {
             let err = match loader(&dir, IngestMode::Strict) {
                 Err(e) => e,
                 Ok(_) => panic!("strict mode must reject malformed cloud_nets"),
@@ -984,7 +894,7 @@ mod tests {
         // x509.log has a header that belongs to no known schema.
         std::fs::write(dir.join("x509.log"), "#fields\tnope\nnope\n").unwrap();
 
-        for loader in [load_dir_with, load_dir_serial_with] {
+        for loader in [load_on(1), load_on(4)] {
             assert!(matches!(
                 loader(&dir, IngestMode::Strict),
                 Err(IngestError::Tsv(TsvError::BadHeader))

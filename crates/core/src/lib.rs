@@ -19,12 +19,12 @@
 //! # Example
 //!
 //! ```
-//! use mtls_core::{run_pipeline, AnalysisInputs};
+//! use mtls_core::{run_pipeline_parallel, AnalysisInputs};
 //! use mtls_netsim::{generate, SimConfig};
 //!
 //! // Simulate a small campus capture, then run every experiment on it.
 //! let sim = generate(&SimConfig { seed: 7, scale: 0.02, ..SimConfig::default() });
-//! let out = run_pipeline(AnalysisInputs::from_sim(sim));
+//! let out = run_pipeline_parallel(AnalysisInputs::from_sim(sim));
 //!
 //! // Fig. 1: monthly mutual-TLS prevalence over the 23-month window.
 //! assert_eq!(out.fig1.months.len(), 23);
@@ -48,16 +48,14 @@ pub mod verdict;
 pub mod testutil;
 
 pub use columns::{CertColumns, ConnColumns};
-pub use corpus::{CertAgg, Corpus, Direction, ServerAssociation};
+pub use corpus::{Corpus, Direction, ServerAssociation};
 pub use ingest::{
-    load_dir_obs, load_dir_serial_obs, load_dir_streaming_obs, IngestDiagnostics, IngestError,
-    StreamOptions,
+    load_dir, load_dir_streaming_obs, load_dir_with, IngestDiagnostics, IngestError, StreamOptions,
 };
 pub use mtls_zeek::IngestMode;
 pub use pipeline::{
-    build_corpus_obs, build_corpus_streamed_obs, run_pipeline, run_pipeline_obs,
-    run_pipeline_parallel, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs,
-    AnalysisInputs, PipelineOutput,
+    build_corpus_obs, run_pipeline, run_pipeline_parallel, run_pipeline_streamed_parallel_obs,
+    AnalysisInputs, PipelineOutput, ANALYZE_SHARDS,
 };
 pub use stream::{CorpusBuilder, EpochStats, StreamParts, StreamSummary};
 pub use verdict::{cert_verdict_der, record_verdict, shard_verdict, VerdictContext};

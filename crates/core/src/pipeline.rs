@@ -7,6 +7,7 @@ use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::{CtLog, GossipBundle};
 use mtls_zeek::{SslRecord, X509Record};
+use std::sync::Mutex;
 
 /// Everything the pipeline consumes.
 #[derive(Clone)]
@@ -319,46 +320,48 @@ impl PipelineOutput {
     }
 }
 
-/// Interception filter → interned corpus, shared by both pipeline
-/// entrypoints.
-pub fn build_corpus(inputs: AnalysisInputs) -> Corpus {
-    build_corpus_obs(inputs, &Obs::noop(), None)
+/// Interception filter → interned corpus: the one corpus build. Records
+/// `interception_filter` and `corpus_build` spans under `parent`, plus the
+/// corpus-size gauges (certs, connections, interned strings) and
+/// interception counters.
+pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId>) -> Corpus {
+    let AnalysisInputs {
+        ssl,
+        x509,
+        ct,
+        gossip,
+        meta,
+    } = inputs;
+    corpus_from(ssl, x509, meta, &ct, &gossip, obs, parent)
 }
 
-/// [`build_corpus`] with observability: `interception_filter` and
-/// `corpus_build` spans under `parent`, plus the corpus-size gauges
-/// (certs, connections, interned strings) and interception counters.
-pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId>) -> Corpus {
-    let mut interner = Interner::with_capacity(inputs.x509.len());
+/// The body of [`build_corpus_obs`], borrowing the CT evidence so the
+/// streamed pipeline can run it on records a
+/// [`CorpusBuilder`](crate::stream::CorpusBuilder) collected.
+fn corpus_from(
+    ssl: Vec<SslRecord>,
+    x509: Vec<X509Record>,
+    meta: MetaKnowledge,
+    ct: &CtLog,
+    gossip: &GossipBundle,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> Corpus {
+    let mut interner = Interner::with_capacity(x509.len());
     let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
-        run_ct_filter(
-            &inputs.ssl,
-            &inputs.x509,
-            &inputs.ct,
-            &inputs.gossip,
-            &inputs.meta,
-            &mut interner,
-        )
+        run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
     });
     let mut corpus = obs.time(parent, "corpus_build", || {
-        Corpus::build(
-            inputs.ssl,
-            inputs.x509,
-            inputs.meta,
-            &excluded,
-            issuers,
-            interner,
-        )
+        Corpus::build(ssl, x509, meta, &excluded, issuers, interner)
     });
     corpus.ct = ct_summary;
     record_corpus_metrics(obs, &corpus);
     corpus
 }
 
-/// Filter dispatch shared by the batch and streamed corpus builders: with
-/// gossip evidence the proof-carrying [`ctverify`] stage runs, without it
-/// the legacy bare-issuer comparison (so file sets and captures that carry
-/// no `ct_gossip.log` behave exactly as before).
+/// Filter dispatch: with gossip evidence the proof-carrying [`ctverify`]
+/// stage runs, without it the legacy bare-issuer comparison (so file sets
+/// and captures that carry no `ct_gossip.log` behave exactly as before).
 fn run_ct_filter(
     ssl: &[SslRecord],
     x509: &[X509Record],
@@ -375,8 +378,7 @@ fn run_ct_filter(
     }
 }
 
-/// The corpus-level counters and gauges both builders publish (one metric
-/// schema regardless of how the corpus was constructed).
+/// The corpus-level counters and gauges of one corpus build.
 fn record_corpus_metrics(obs: &Obs, corpus: &Corpus) {
     if !obs.enabled() {
         return;
@@ -509,106 +511,167 @@ fn assemble(corpus: Corpus, r: Reports, obs: &Obs, parent: Option<SpanId>) -> Pi
     }
 }
 
-/// Run the full pipeline, analyzers sharded across scoped threads (the
-/// `ablate_parallel` bench measures ~2x on this corpus shape). Produces
-/// output identical to [`run_pipeline`].
-pub fn run_pipeline_parallel(inputs: AnalysisInputs) -> PipelineOutput {
-    run_pipeline_parallel_obs(inputs, &Obs::noop(), None)
-}
+/// The worker count that gives each of the five analyzer shards its own
+/// thread (the `ablate_parallel` bench measures ~2x over one worker on
+/// this corpus shape).
+pub const ANALYZE_SHARDS: usize = 5;
 
-/// [`run_pipeline_parallel`] with observability: a `pipeline` span under
-/// `parent` containing the corpus-construction spans, an `analyze` span
-/// with one child per analyzer (recorded from whichever worker thread ran
-/// it — the tree aggregates by name, so the rows match the serial twin),
-/// the `assemble` span, and per-report result gauges.
-pub fn run_pipeline_parallel_obs(
+/// Run the full pipeline: interception filter → corpus → every analyzer →
+/// assembly, under one `pipeline` span below `parent` (with the corpus
+/// spans, an `analyze` span holding one child per analyzer, the
+/// `assemble` span, and per-report result gauges).
+///
+/// The twenty analyzers are grouped into [`ANALYZE_SHARDS`] similarly
+/// sized shards, run on `workers` scoped threads; `workers <= 1` runs the
+/// same shards in order on the caller's thread. The output, span tree and
+/// metrics do not depend on `workers`.
+pub fn run_pipeline(
     inputs: AnalysisInputs,
+    workers: usize,
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> PipelineOutput {
+    run_with(workers, obs, parent, |pid| {
+        build_corpus_obs(inputs, obs, pid)
+    })
+}
+
+/// [`run_pipeline`] with one thread per analyzer shard, without
+/// observability.
+pub fn run_pipeline_parallel(inputs: AnalysisInputs) -> PipelineOutput {
+    run_pipeline(inputs, ANALYZE_SHARDS, &Obs::noop(), None)
+}
+
+/// [`run_pipeline`] over a [`CorpusBuilder`](crate::stream::CorpusBuilder)'s
+/// [`StreamParts`] instead of a batch [`AnalysisInputs`], one thread per
+/// analyzer shard. The parts go through the same corpus build, so on the
+/// same (full-window) input the output, span tree and metrics equal the
+/// batch pipeline's.
+pub fn run_pipeline_streamed_parallel_obs(
+    parts: StreamParts,
+    ct: &CtLog,
+    gossip: &GossipBundle,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> PipelineOutput {
+    let StreamParts {
+        ssl, x509, meta, ..
+    } = parts;
+    run_with(ANALYZE_SHARDS, obs, parent, |pid| {
+        corpus_from(ssl, x509, meta, ct, gossip, obs, pid)
+    })
+}
+
+/// The pipeline around a corpus build: `build` runs under the `pipeline`
+/// span, then the analyzers and the assembly.
+fn run_with(
+    workers: usize,
+    obs: &Obs,
+    parent: Option<SpanId>,
+    build: impl FnOnce(Option<SpanId>) -> Corpus,
+) -> PipelineOutput {
     let pipeline_span = obs.span(parent, "pipeline");
     let pid = pipeline_span.id();
-    let corpus = build_corpus_obs(inputs, obs, pid);
-    let reports = analyze_parallel(&corpus, obs, pid);
+    let corpus = build(pid);
+    let reports = analyze_all(&corpus, workers, obs, pid);
     let out = assemble(corpus, reports, obs, pid);
     pipeline_span.finish();
     record_report_gauges(obs, &out);
     out
 }
 
-/// The parallel analyzer schedule, factored out so the batch and streamed
-/// pipelines share one copy: an `analyze` span with one child per
-/// analyzer, the analyzers grouped into five similarly-sized shards on
-/// scoped threads.
-fn analyze_parallel(corpus: &Corpus, obs: &Obs, pid: Option<SpanId>) -> Reports {
+/// Run independent jobs on `workers` scoped threads that drain one shared
+/// queue, or in order on the caller's thread when `workers <= 1`.
+fn run_jobs<'a>(workers: usize, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>) {
+    let workers = workers.min(jobs.len());
+    if workers <= 1 {
+        jobs.into_iter().for_each(|job| job());
+        return;
+    }
+    let queue = Mutex::new(jobs.into_iter());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                // Take the lock for the pop only, not for the job.
+                let job = queue.lock().expect("job queue poisoned").next();
+                match job {
+                    Some(job) => job(),
+                    None => break,
+                }
+            });
+        }
+    });
+}
+
+/// The analyzer schedule: an `analyze` span with one child per analyzer,
+/// the analyzers grouped into [`ANALYZE_SHARDS`] similarly sized shards
+/// run by [`run_jobs`].
+fn analyze_all(corpus: &Corpus, workers: usize, obs: &Obs, pid: Option<SpanId>) -> Reports {
+    use analyze::info_types::Slice;
     let analyze_span = obs.span(pid, "analyze");
     let aid = analyze_span.id();
-    let (shard1, shard2, shard3, shard4, shard5) = std::thread::scope(|s| {
-        let c = corpus;
-        // Group analyzers into a handful of similarly-sized shards.
-        let h1 = s.spawn(move || {
-            (
-                obs.time(aid, "prevalence", || analyze::prevalence::run(c)),
-                obs.time(aid, "cert_census", || analyze::cert_census::run(c)),
-                obs.time(aid, "ports", || analyze::ports::run(c)),
-                obs.time(aid, "cn_san_usage", || analyze::cn_san_usage::run(c)),
-            )
-        });
-        let h2 = s.spawn(move || {
-            (
-                obs.time(aid, "inbound", || analyze::inbound::run(c)),
-                obs.time(aid, "outbound_flows", || analyze::outbound_flows::run(c)),
-                obs.time(aid, "dummy_issuers", || analyze::dummy_issuers::run(c)),
-                obs.time(aid, "cert_sharing", || analyze::cert_sharing::run(c)),
-            )
-        });
-        let h3 = s.spawn(move || {
-            (
-                obs.time(aid, "serial_collisions", || {
-                    analyze::serial_collisions::run(c)
-                }),
-                obs.time(aid, "subnet_spread", || analyze::subnet_spread::run(c)),
-                obs.time(aid, "incorrect_dates", || analyze::incorrect_dates::run(c)),
-                obs.time(aid, "validity", || analyze::validity::run(c)),
-                obs.time(aid, "expired", || analyze::expired::run(c)),
-            )
-        });
-        let h4 = s.spawn(move || {
-            (
-                obs.time(aid, "info_types_mtls", || {
-                    analyze::info_types::run(c, analyze::info_types::Slice::Mtls)
-                }),
-                obs.time(aid, "unidentified", || analyze::unidentified::run(c)),
-                obs.time(aid, "info_types_shared_certs", || {
-                    analyze::info_types::run(c, analyze::info_types::Slice::SharedCerts)
-                }),
-                obs.time(aid, "info_types_non_mtls_servers", || {
-                    analyze::info_types::run(c, analyze::info_types::Slice::NonMtlsServers)
-                }),
-            )
-        });
-        let h5 = s.spawn(move || {
-            (
-                obs.time(aid, "audit", || analyze::audit::run(c)),
-                obs.time(aid, "tracking", || analyze::tracking::run(c)),
-                obs.time(aid, "generalization", || analyze::generalization::run(c)),
-            )
-        });
-
-        (
-            h1.join().expect("shard 1"),
-            h2.join().expect("shard 2"),
-            h3.join().expect("shard 3"),
-            h4.join().expect("shard 4"),
-            h5.join().expect("shard 5"),
-        )
-    });
+    let c = corpus;
+    let (mut shard1, mut shard2, mut shard3, mut shard4, mut shard5) =
+        (None, None, None, None, None);
+    run_jobs(
+        workers,
+        vec![
+            Box::new(|| {
+                shard1 = Some((
+                    obs.time(aid, "prevalence", || analyze::prevalence::run(c)),
+                    obs.time(aid, "cert_census", || analyze::cert_census::run(c)),
+                    obs.time(aid, "ports", || analyze::ports::run(c)),
+                    obs.time(aid, "cn_san_usage", || analyze::cn_san_usage::run(c)),
+                ))
+            }),
+            Box::new(|| {
+                shard2 = Some((
+                    obs.time(aid, "inbound", || analyze::inbound::run(c)),
+                    obs.time(aid, "outbound_flows", || analyze::outbound_flows::run(c)),
+                    obs.time(aid, "dummy_issuers", || analyze::dummy_issuers::run(c)),
+                    obs.time(aid, "cert_sharing", || analyze::cert_sharing::run(c)),
+                ))
+            }),
+            Box::new(|| {
+                shard3 = Some((
+                    obs.time(aid, "serial_collisions", || {
+                        analyze::serial_collisions::run(c)
+                    }),
+                    obs.time(aid, "subnet_spread", || analyze::subnet_spread::run(c)),
+                    obs.time(aid, "incorrect_dates", || analyze::incorrect_dates::run(c)),
+                    obs.time(aid, "validity", || analyze::validity::run(c)),
+                    obs.time(aid, "expired", || analyze::expired::run(c)),
+                ))
+            }),
+            Box::new(|| {
+                shard4 = Some((
+                    obs.time(aid, "info_types_mtls", || {
+                        analyze::info_types::run(c, Slice::Mtls)
+                    }),
+                    obs.time(aid, "unidentified", || analyze::unidentified::run(c)),
+                    obs.time(aid, "info_types_shared_certs", || {
+                        analyze::info_types::run(c, Slice::SharedCerts)
+                    }),
+                    obs.time(aid, "info_types_non_mtls_servers", || {
+                        analyze::info_types::run(c, Slice::NonMtlsServers)
+                    }),
+                ))
+            }),
+            Box::new(|| {
+                shard5 = Some((
+                    obs.time(aid, "audit", || analyze::audit::run(c)),
+                    obs.time(aid, "tracking", || analyze::tracking::run(c)),
+                    obs.time(aid, "generalization", || analyze::generalization::run(c)),
+                ))
+            }),
+        ],
+    );
     analyze_span.finish();
-    let (fig1, tab1, tab2, tab7) = shard1;
-    let (tab3, fig2, tab4, tab5) = shard2;
-    let (ser1, tab6, fig3, fig4, fig5) = shard3;
-    let (tab8, tab9, tab13, tab14) = shard4;
-    let (ext1, ext2, gen1) = shard5;
+    let (fig1, tab1, tab2, tab7) = shard1.expect("shard 1 ran");
+    let (tab3, fig2, tab4, tab5) = shard2.expect("shard 2 ran");
+    let (ser1, tab6, fig3, fig4, fig5) = shard3.expect("shard 3 ran");
+    let (tab8, tab9, tab13, tab14) = shard4.expect("shard 4 ran");
+    let (ext1, ext2, gen1) = shard5.expect("shard 5 ran");
     Reports {
         fig1,
         tab1,
@@ -631,127 +694,6 @@ fn analyze_parallel(corpus: &Corpus, obs: &Obs, pid: Option<SpanId>) -> Reports 
         ext2,
         gen1,
     }
-}
-
-/// Corpus construction from pre-streamed parts: the interception filter
-/// runs over the re-assembled full-window slices (it needs the global
-/// issuer/CT view, which no single epoch has), then
-/// [`Corpus::build_with_partials`] consumes the premerged per-epoch
-/// aggregates instead of re-observing every connection. Span names and
-/// gauges match [`build_corpus_obs`], so a metrics consumer sees one
-/// schema either way.
-pub fn build_corpus_streamed_obs(
-    parts: StreamParts,
-    ct: &CtLog,
-    gossip: &GossipBundle,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> Corpus {
-    let StreamParts {
-        ssl,
-        x509,
-        meta,
-        mut interner,
-        partials,
-        summary: _,
-    } = parts;
-    let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
-        run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
-    });
-    let mut corpus = obs.time(parent, "corpus_build", || {
-        Corpus::build_with_partials(ssl, x509, meta, &excluded, issuers, interner, partials)
-    });
-    corpus.ct = ct_summary;
-    record_corpus_metrics(obs, &corpus);
-    corpus
-}
-
-/// The streamed twin of [`run_pipeline_parallel_obs`]: identical span
-/// tree, analyzer schedule, and report gauges, but the corpus comes from
-/// a [`CorpusBuilder`](crate::stream::CorpusBuilder)'s
-/// [`StreamParts`] instead of a batch [`AnalysisInputs`]. On the same
-/// (full-window) input the output is byte-identical to the batch
-/// pipeline.
-pub fn run_pipeline_streamed_parallel_obs(
-    parts: StreamParts,
-    ct: &CtLog,
-    gossip: &GossipBundle,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> PipelineOutput {
-    let pipeline_span = obs.span(parent, "pipeline");
-    let pid = pipeline_span.id();
-    let corpus = build_corpus_streamed_obs(parts, ct, gossip, obs, pid);
-    let reports = analyze_parallel(&corpus, obs, pid);
-    let out = assemble(corpus, reports, obs, pid);
-    pipeline_span.finish();
-    record_report_gauges(obs, &out);
-    out
-}
-
-/// Run the full pipeline serially (reference implementation; prefer
-/// [`run_pipeline_parallel`]).
-pub fn run_pipeline(inputs: AnalysisInputs) -> PipelineOutput {
-    run_pipeline_obs(inputs, &Obs::noop(), None)
-}
-
-/// [`run_pipeline`] with the same span tree and gauges as
-/// [`run_pipeline_parallel_obs`] — one analyzer at a time.
-pub fn run_pipeline_obs(
-    inputs: AnalysisInputs,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> PipelineOutput {
-    let pipeline_span = obs.span(parent, "pipeline");
-    let pid = pipeline_span.id();
-    let corpus = build_corpus_obs(inputs, obs, pid);
-    let analyze_span = obs.span(pid, "analyze");
-    let aid = analyze_span.id();
-    let reports = Reports {
-        fig1: obs.time(aid, "prevalence", || analyze::prevalence::run(&corpus)),
-        tab1: obs.time(aid, "cert_census", || analyze::cert_census::run(&corpus)),
-        tab2: obs.time(aid, "ports", || analyze::ports::run(&corpus)),
-        tab3: obs.time(aid, "inbound", || analyze::inbound::run(&corpus)),
-        fig2: obs.time(aid, "outbound_flows", || {
-            analyze::outbound_flows::run(&corpus)
-        }),
-        tab4: obs.time(aid, "dummy_issuers", || {
-            analyze::dummy_issuers::run(&corpus)
-        }),
-        ser1: obs.time(aid, "serial_collisions", || {
-            analyze::serial_collisions::run(&corpus)
-        }),
-        tab5: obs.time(aid, "cert_sharing", || analyze::cert_sharing::run(&corpus)),
-        tab6: obs.time(aid, "subnet_spread", || {
-            analyze::subnet_spread::run(&corpus)
-        }),
-        fig3: obs.time(aid, "incorrect_dates", || {
-            analyze::incorrect_dates::run(&corpus)
-        }),
-        fig4: obs.time(aid, "validity", || analyze::validity::run(&corpus)),
-        fig5: obs.time(aid, "expired", || analyze::expired::run(&corpus)),
-        tab7: obs.time(aid, "cn_san_usage", || analyze::cn_san_usage::run(&corpus)),
-        tab8: obs.time(aid, "info_types_mtls", || {
-            analyze::info_types::run(&corpus, analyze::info_types::Slice::Mtls)
-        }),
-        tab9: obs.time(aid, "unidentified", || analyze::unidentified::run(&corpus)),
-        tab13: obs.time(aid, "info_types_shared_certs", || {
-            analyze::info_types::run(&corpus, analyze::info_types::Slice::SharedCerts)
-        }),
-        tab14: obs.time(aid, "info_types_non_mtls_servers", || {
-            analyze::info_types::run(&corpus, analyze::info_types::Slice::NonMtlsServers)
-        }),
-        ext1: obs.time(aid, "audit", || analyze::audit::run(&corpus)),
-        ext2: obs.time(aid, "tracking", || analyze::tracking::run(&corpus)),
-        gen1: obs.time(aid, "generalization", || {
-            analyze::generalization::run(&corpus)
-        }),
-    };
-    analyze_span.finish();
-    let out = assemble(corpus, reports, obs, pid);
-    pipeline_span.finish();
-    record_report_gauges(obs, &out);
-    out
 }
 
 #[cfg(test)]

@@ -1,46 +1,41 @@
-//! Streaming corpus engine: bounded-memory incremental ingest.
+//! Windowed record loader: bounded-memory month-by-month ingest.
 //!
-//! The batch pipeline slurps all 23 months, then builds one immutable
-//! [`Corpus`] — peak memory linear in months. This module turns the build
-//! into an *incremental* engine: a [`CorpusBuilder`] accepts one month
-//! (an **epoch**) at a time, keeps each epoch's records in an append-only
-//! segment keyed by month, folds every analyzer-feeding aggregate into a
-//! per-epoch [`CertAgg`] partial (a commutative monoid, so epochs may
-//! arrive in any order), and refreshes the columnar mirror after every
-//! merge so a live consumer can scan the partial corpus mid-stream.
+//! The batch pipeline slurps all 23 months, then builds one [`Corpus`]
+//! — peak memory linear in months. A [`CorpusBuilder`] instead accepts
+//! one month (an **epoch**) at a time and keeps only the records of the
+//! months inside a rolling window. It does no aggregation of its own: its
+//! [`CorpusBuilder::finish`] output goes through the same interception
+//! filter and [`Corpus::build`] the batch path runs
+//! (`pipeline::run_pipeline_streamed_parallel_obs`), so the two paths
+//! share every line of the join and fold.
 //!
 //! Lifecycle:
 //!
-//! 1. **push** — [`CorpusBuilder::push_epoch`] ingests one month's
-//!    `ssl`/`x509` records: fingerprints are interned and tagged with the
-//!    contributing epoch (the dedup ledger), the epoch's `CertAgg`
-//!    partial is folded, and the columnar preview is rebuilt.
-//! 2. **retire** — [`CorpusBuilder::retire_outside_window`] drops every
-//!    epoch older than the rolling window, releasing its records and
-//!    partial state. This is what bounds memory: the builder retains
-//!    O(window) connection rows, not O(corpus).
+//! 1. **push** — [`CorpusBuilder::push_epoch`] appends one month's
+//!    `ssl`/`x509` records to that month's segment and tags every
+//!    fingerprint with the epoch that first contributed it (the dedup
+//!    ledger).
+//! 2. **retire** — [`CorpusBuilder::retire_for_incoming`] drops every
+//!    epoch that would fall outside the rolling window, releasing its
+//!    records and ledger entries. This is what bounds memory: the builder
+//!    retains O(window) connection rows, not O(corpus).
 //! 3. **finish** — [`CorpusBuilder::finish`] re-assembles the surviving
 //!    epochs in canonical month order (a `BTreeMap` walk, so shuffled
-//!    pushes converge to the same bytes), folds the per-epoch partials
-//!    into one merged map, and hands everything to
-//!    [`Corpus::build_with_partials`] — the same join code the batch path
-//!    runs, fed premerged aggregates.
+//!    pushes converge to the same records).
 //!
 //! Equivalence contracts (pinned in `tests/ingest_equiv.rs`):
 //! * full-window streaming output is byte-identical to the batch build on
 //!   the same input, for any push order;
 //! * a rolling window of N months is byte-identical to a batch build over
-//!   only those N months;
-//! * after every push, the columnar preview equals the batch columns of
-//!   the months pushed so far (modulo interception exclusions, which only
-//!   the finish-time filter can know).
+//!   only those N months.
+//!
+//! [`Corpus`]: crate::Corpus
+//! [`Corpus::build`]: crate::Corpus::build
 
-use crate::columns::{cert_flag, conn_flag, CertColumns, ConnColumns, NO_CERT};
-use crate::corpus::{classify_cert, CertAgg, MetaKnowledge};
-use mtls_intern::{FxHashMap, Interner, Symbol};
+use crate::corpus::MetaKnowledge;
+use mtls_intern::FxHashMap;
 use mtls_obs::{Obs, SpanId};
 use mtls_zeek::{SslRecord, X509Record};
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// Rough retained heap of one `ssl.log` record (owned strings + vectors;
@@ -82,10 +77,7 @@ fn x509_heap_bytes(rec: &X509Record) -> usize {
 struct Epoch {
     ssl: Vec<SslRecord>,
     x509: Vec<X509Record>,
-    /// This epoch's mergeable partial of every connection aggregate,
-    /// keyed by fingerprint symbol in the builder's interner.
-    agg: FxHashMap<Symbol, CertAgg>,
-    /// Retained-heap estimate of this epoch's records and partial.
+    /// Retained-heap estimate of this epoch's records.
     footprint: u64,
 }
 
@@ -126,35 +118,29 @@ pub struct StreamSummary {
 }
 
 /// Everything [`CorpusBuilder::finish`] hands the pipeline: the surviving
-/// records in canonical month order, the shared interner, the merged
-/// aggregate partials, and the build summary. Feed it to
+/// records in canonical month order and the build summary. Feed it to
 /// `pipeline::run_pipeline_streamed_parallel_obs` (or run the interception
-/// filter and [`crate::Corpus::build_with_partials`] by hand).
+/// filter and [`crate::Corpus::build`] by hand).
 pub struct StreamParts {
     pub ssl: Vec<SslRecord>,
     pub x509: Vec<X509Record>,
     pub meta: MetaKnowledge,
-    pub interner: Interner,
-    pub partials: FxHashMap<Symbol, CertAgg>,
     pub summary: StreamSummary,
 }
 
 /// The incremental corpus builder. See the module docs for the lifecycle.
 pub struct CorpusBuilder {
     meta: MetaKnowledge,
-    interner: Interner,
     /// Live epochs, keyed by month (`BTreeMap` = canonical order for
     /// free, whatever order the pushes arrived in).
     epochs: BTreeMap<String, Epoch>,
-    /// Epoch-tagged fingerprint dedup: fingerprint symbol → index into
+    /// Epoch-tagged fingerprint dedup: fingerprint → index into
     /// `epoch_keys` of the live epoch that first contributed it.
-    fp_epoch: FxHashMap<Symbol, u32>,
+    fp_epoch: FxHashMap<String, u32>,
     /// Registry backing `fp_epoch` (retired keys keep their slot; their
     /// fingerprints are evicted from `fp_epoch` on retirement).
     epoch_keys: Vec<String>,
     summary: StreamSummary,
-    /// Columnar preview of the merged state, refreshed per epoch.
-    columns: Option<(CertColumns, ConnColumns)>,
     obs: Obs,
     parent: Option<SpanId>,
 }
@@ -163,19 +149,18 @@ impl CorpusBuilder {
     pub fn new(meta: MetaKnowledge) -> CorpusBuilder {
         CorpusBuilder {
             meta,
-            interner: Interner::new(),
             epochs: BTreeMap::new(),
             fp_epoch: FxHashMap::default(),
             epoch_keys: Vec::new(),
             summary: StreamSummary::default(),
-            columns: None,
             obs: Obs::noop(),
             parent: None,
         }
     }
 
-    /// Attach an observability session: per-push gauges (live rows,
-    /// footprint, epoch count) and RSS samples land under it.
+    /// Attach an observability session: one `push_epoch` span per push
+    /// under `parent`, per-push gauges (live rows, footprint, epoch count)
+    /// and RSS samples.
     pub fn with_obs(mut self, obs: &Obs, parent: Option<SpanId>) -> CorpusBuilder {
         self.obs = obs.clone();
         self.parent = parent;
@@ -190,7 +175,7 @@ impl CorpusBuilder {
         ssl: Vec<SslRecord>,
         x509: Vec<X509Record>,
     ) -> EpochStats {
-        let span = self.obs.span(self.parent, "epoch_merge");
+        let span = self.obs.span(self.parent, "push_epoch");
         let epoch_idx = match self.epoch_keys.iter().position(|k| k == key) {
             Some(i) => i as u32,
             None => {
@@ -209,55 +194,25 @@ impl CorpusBuilder {
         // Epoch-tagged fingerprint dedup ledger: first live contributor
         // wins the tag; re-appearances are counted, not dropped (the
         // batch build keeps duplicate rows too, so byte-identity holds).
-        let mut footprint = 0u64;
+        let mut footprint: u64 = ssl.iter().map(|r| ssl_heap_bytes(r) as u64).sum();
         for rec in &x509 {
             footprint += x509_heap_bytes(rec) as u64;
-            let sym = self.interner.intern(&rec.fingerprint);
-            match self.fp_epoch.entry(sym) {
-                Entry::Vacant(v) => {
-                    v.insert(epoch_idx);
-                    stats.fresh_fps += 1;
-                }
-                Entry::Occupied(_) => {
-                    stats.dup_fps += 1;
-                }
+            if self.fp_epoch.contains_key(&rec.fingerprint) {
+                stats.dup_fps += 1;
+            } else {
+                self.fp_epoch.insert(rec.fingerprint.clone(), epoch_idx);
+                stats.fresh_fps += 1;
             }
         }
         self.summary.dup_fps += stats.dup_fps as u64;
 
-        // Fold this month's mergeable partial: one CertAgg::observe per
-        // chain reference, keyed by interned fingerprint. This is the
-        // same observe the batch build runs — only the grouping differs.
-        let mut agg: FxHashMap<Symbol, CertAgg> = FxHashMap::default();
-        for rec in &ssl {
-            footprint += ssl_heap_bytes(rec) as u64;
-            for (fp, as_server) in rec
-                .cert_chain_fps
-                .iter()
-                .map(|f| (f, true))
-                .chain(rec.client_cert_chain_fps.iter().map(|f| (f, false)))
-            {
-                agg.entry(self.interner.intern(fp))
-                    .or_default()
-                    .observe(rec, as_server);
-            }
-        }
-        footprint += agg
-            .values()
-            .map(|a| a.approx_heap_bytes() as u64 + std::mem::size_of::<CertAgg>() as u64)
-            .sum::<u64>();
-
         let slot = self.epochs.entry(key.to_string()).or_insert_with(|| Epoch {
             ssl: Vec::new(),
             x509: Vec::new(),
-            agg: FxHashMap::default(),
             footprint: 0,
         });
         slot.ssl.extend(ssl);
         slot.x509.extend(x509);
-        for (sym, partial) in agg {
-            slot.agg.entry(sym).or_default().merge(partial);
-        }
         slot.footprint += footprint;
         self.summary.epochs_pushed += 1;
         self.summary.max_epoch_footprint_bytes =
@@ -266,7 +221,6 @@ impl CorpusBuilder {
         stats.footprint_bytes = self.footprint_bytes();
         self.summary.peak_footprint_bytes =
             self.summary.peak_footprint_bytes.max(stats.footprint_bytes);
-        self.refresh_columns();
         span.finish();
 
         if self.obs.enabled() {
@@ -287,13 +241,6 @@ impl CorpusBuilder {
         stats
     }
 
-    /// Keep only the newest `window` months; every older epoch is
-    /// retired — its records, partial aggregates, and dedup-ledger
-    /// entries are released. Returns the retired keys (oldest first).
-    pub fn retire_outside_window(&mut self, window: usize) -> Vec<String> {
-        self.retire_down_to(window.max(1))
-    }
-
     /// Make room for one incoming epoch: evict the oldest months so that
     /// after the next [`CorpusBuilder::push_epoch`] at most `window`
     /// epochs are live. Callers use this *before* reading the next
@@ -301,10 +248,7 @@ impl CorpusBuilder {
     /// `window + 1` — and a `--window 1mo` walk genuinely holds one
     /// month's footprint (the RSS ceiling the bench gates).
     pub fn retire_for_incoming(&mut self, window: usize) -> Vec<String> {
-        self.retire_down_to(window.max(1) - 1)
-    }
-
-    fn retire_down_to(&mut self, keep: usize) -> Vec<String> {
+        let keep = window.max(1) - 1;
         let mut retired_keys = Vec::new();
         while self.epochs.len() > keep {
             let key = self.epochs.keys().next().expect("non-empty epochs").clone();
@@ -318,161 +262,37 @@ impl CorpusBuilder {
             self.summary.retired_x509_rows += epoch.x509.len() as u64;
             retired_keys.push(key);
         }
-        if !retired_keys.is_empty() {
-            self.refresh_columns();
-            if self.obs.enabled() {
-                self.obs
-                    .counter_add("stream.epochs_retired", retired_keys.len() as u64);
-                self.obs
-                    .gauge_set("stream.epochs_live", self.epochs.len() as i64);
-                self.obs
-                    .gauge_set("stream.footprint_bytes", self.footprint_bytes() as i64);
-            }
+        if !retired_keys.is_empty() && self.obs.enabled() {
+            self.obs
+                .counter_add("stream.epochs_retired", retired_keys.len() as u64);
+            self.obs
+                .gauge_set("stream.epochs_live", self.epochs.len() as i64);
+            self.obs
+                .gauge_set("stream.footprint_bytes", self.footprint_bytes() as i64);
         }
         retired_keys
     }
 
-    /// Retained-heap estimate of every live epoch (records + partials).
+    /// Retained-heap estimate of every live epoch's records.
     /// Deterministic for given contents — this is the number the bench
     /// gates, with the OS-reported RSS recorded alongside it.
-    pub fn footprint_bytes(&self) -> u64 {
+    fn footprint_bytes(&self) -> u64 {
         self.epochs.values().map(|e| e.footprint).sum()
     }
 
-    /// Live month keys in canonical order.
-    pub fn live_epochs(&self) -> Vec<&str> {
-        self.epochs.keys().map(String::as_str).collect()
-    }
-
-    /// The per-epoch-refreshed columnar mirror of the merged state:
-    /// exactly the batch columns of the live months, except that
-    /// interception exclusions are unknowable before the finish-time
-    /// filter, so no EXCLUDED bit is ever set here. `None` before the
-    /// first push.
-    pub fn columns(&self) -> Option<&(CertColumns, ConnColumns)> {
-        self.columns.as_ref()
-    }
-
-    /// Rebuild the columnar preview from the live epochs in canonical
-    /// order. O(live rows); called after every push and retirement.
-    fn refresh_columns(&mut self) {
-        // Merged role/mTLS bits per fingerprint, folded from the per-epoch
-        // partials (booleans only — no set cloning).
-        const SEEN_AS_CLIENT: u8 = 1;
-        const IN_MTLS: u8 = 2;
-        let mut bits: FxHashMap<Symbol, u8> = FxHashMap::default();
-        for epoch in self.epochs.values() {
-            for (sym, agg) in &epoch.agg {
-                let mut b = 0u8;
-                if agg.seen_as_client {
-                    b |= SEEN_AS_CLIENT;
-                }
-                if agg.in_mtls {
-                    b |= IN_MTLS;
-                }
-                *bits.entry(*sym).or_insert(0) |= b;
-            }
-        }
-
-        // Cert columns + the preview join index (last row wins a
-        // fingerprint, exactly like the batch fp_index insert order).
-        let n_certs: usize = self.epochs.values().map(|e| e.x509.len()).sum();
-        let mut cert_cols = CertColumns {
-            validity_days: Vec::with_capacity(n_certs),
-            not_valid_after: Vec::with_capacity(n_certs),
-            category: Vec::with_capacity(n_certs),
-            flags: Vec::with_capacity(n_certs),
-        };
-        let mut fp_index: FxHashMap<Symbol, u32> = FxHashMap::default();
-        let mut cid = 0u32;
-        for epoch in self.epochs.values() {
-            for rec in &epoch.x509 {
-                let (public, category, _) = classify_cert(&self.meta, rec);
-                cert_cols.validity_days.push(rec.validity_days());
-                cert_cols.not_valid_after.push(rec.not_valid_after);
-                cert_cols.category.push(category);
-                let sym = self
-                    .interner
-                    .get(&rec.fingerprint)
-                    .expect("pushed fingerprints are interned");
-                let mut flags = 0u8;
-                if public {
-                    flags |= cert_flag::PUBLIC;
-                }
-                let b = bits.get(&sym).copied().unwrap_or(0);
-                if b & SEEN_AS_CLIENT != 0 {
-                    flags |= cert_flag::SEEN_AS_CLIENT;
-                }
-                if b & IN_MTLS != 0 {
-                    flags |= cert_flag::IN_MTLS;
-                }
-                if rec.has_incorrect_dates() {
-                    flags |= cert_flag::INCORRECT_DATES;
-                }
-                cert_cols.flags.push(flags);
-                fp_index.insert(sym, cid);
-                cid += 1;
-            }
-        }
-
-        let n_conns: usize = self.epochs.values().map(|e| e.ssl.len()).sum();
-        let mut conn_cols = ConnColumns {
-            direction: Vec::with_capacity(n_conns),
-            resp_p: Vec::with_capacity(n_conns),
-            ts: Vec::with_capacity(n_conns),
-            client_leaf: Vec::with_capacity(n_conns),
-            flags: Vec::with_capacity(n_conns),
-        };
-        for epoch in self.epochs.values() {
-            for rec in &epoch.ssl {
-                conn_cols.direction.push(self.meta.direction_of(rec));
-                conn_cols.resp_p.push(rec.resp_p);
-                conn_cols.ts.push(rec.ts);
-                let leaf = rec
-                    .client_cert_chain_fps
-                    .first()
-                    .and_then(|fp| self.interner.get(fp))
-                    .and_then(|sym| fp_index.get(&sym))
-                    .copied();
-                conn_cols.client_leaf.push(leaf.unwrap_or(NO_CERT));
-                let mut flags = 0u8;
-                if rec.is_mutual_tls() {
-                    flags |= conn_flag::MTLS;
-                }
-                conn_cols.flags.push(flags);
-            }
-        }
-        self.columns = Some((cert_cols, conn_cols));
-    }
-
-    /// Seal the build: surviving epochs re-assembled in canonical month
-    /// order, per-epoch partials folded into one merged map. The caller
-    /// runs the interception filter over the assembled slices and then
-    /// [`crate::Corpus::build_with_partials`].
+    /// Seal the build: the surviving epochs' records, re-assembled in
+    /// canonical month order.
     pub fn finish(self) -> StreamParts {
         let mut ssl = Vec::new();
         let mut x509 = Vec::new();
-        let mut partials: FxHashMap<Symbol, CertAgg> = FxHashMap::default();
         for (_, epoch) in self.epochs {
             ssl.extend(epoch.ssl);
             x509.extend(epoch.x509);
-            for (sym, agg) in epoch.agg {
-                match partials.entry(sym) {
-                    Entry::Vacant(v) => {
-                        v.insert(agg);
-                    }
-                    Entry::Occupied(mut o) => {
-                        o.get_mut().merge(agg);
-                    }
-                }
-            }
         }
         StreamParts {
             ssl,
             x509,
             meta: self.meta,
-            interner: self.interner,
-            partials,
             summary: self.summary,
         }
     }

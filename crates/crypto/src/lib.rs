@@ -40,5 +40,5 @@ pub mod sha256;
 pub mod simsig;
 
 pub use hmac::hmac_sha256;
-pub use sha256::{sha256, sha256_batch, sha256_x4, Sha256};
+pub use sha256::{sha256, Sha256};
 pub use simsig::{KeyId, KeyRegistry, Keypair, Signature};

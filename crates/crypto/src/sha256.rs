@@ -1,6 +1,6 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
 //!
-//! Three paths share one unrolled compression core:
+//! Two paths share one unrolled compression core:
 //!
 //! * [`Sha256`] — the streaming API (`update`/`finalize`), with a partial
 //!   block buffer for callers that feed arbitrary slices.
@@ -8,13 +8,8 @@
 //!   out of the input slice (no partial-block copy) and builds the
 //!   padding in at most two stack blocks. This is what fingerprinting a
 //!   certificate blob costs.
-//! * [`sha256_batch`] — a 4-way interleaved variant for independent
-//!   blobs: four compression states advance in lockstep through a lane
-//!   array, giving the out-of-order core (or the auto-vectorizer) four
-//!   dependency chains instead of one. Fed by the simulator's
-//!   fingerprint batches; falls back to [`sha256`] for the tail.
 //!
-//! All paths are bit-identical — asserted against the NIST short-message
+//! Both paths are bit-identical — asserted against the NIST short-message
 //! vectors, the million-'a' vector, and the cross-path property tests.
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
@@ -223,200 +218,6 @@ impl Sha256 {
     }
 }
 
-/// How many 64-byte blocks a `len`-byte message compresses, padding
-/// included.
-fn padded_blocks_of(len: usize) -> usize {
-    len / 64 + if len % 64 < 56 { 1 } else { 2 }
-}
-
-/// The `i`-th padded block of `msg`, materialized into `out`. Blocks
-/// before the tail copy straight from the message; the final 1–2 blocks
-/// carry the `0x80` terminator and the big-endian bit length.
-fn padded_block(msg: &[u8], i: usize, out: &mut [u8; 64]) {
-    let start = i * 64;
-    if start + 64 <= msg.len() {
-        out.copy_from_slice(&msg[start..start + 64]);
-        return;
-    }
-    out.fill(0);
-    if start <= msg.len() {
-        let tail = &msg[start..];
-        out[..tail.len()].copy_from_slice(tail);
-        out[tail.len()] = 0x80;
-    }
-    if i == padded_blocks_of(msg.len()) - 1 {
-        out[56..].copy_from_slice(&(msg.len() as u64).wrapping_mul(8).to_be_bytes());
-    }
-}
-
-/// Four interleaved compressions: one round loop advances four independent
-/// states, so each instruction-level step has four parallel dependency
-/// chains. All lane arithmetic is element-wise `u32` — no unsafe, no
-/// platform intrinsics — and the fixed-size lane loops are vectorizer
-/// fodder.
-// The unrolled final schedule stores (rounds 49-64) are dead, same as in
-// `compress_block`; keeping the macro uniform beats special-casing them.
-#[allow(unused_assignments)]
-fn compress4(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
-    const LANES: usize = 4;
-    type V = [u32; LANES];
-
-    #[inline(always)]
-    fn map2(a: V, b: V, f: impl Fn(u32, u32) -> u32) -> V {
-        [f(a[0], b[0]), f(a[1], b[1]), f(a[2], b[2]), f(a[3], b[3])]
-    }
-    #[inline(always)]
-    fn add(a: V, b: V) -> V {
-        map2(a, b, u32::wrapping_add)
-    }
-    #[inline(always)]
-    fn addk(a: V, k: u32) -> V {
-        [
-            a[0].wrapping_add(k),
-            a[1].wrapping_add(k),
-            a[2].wrapping_add(k),
-            a[3].wrapping_add(k),
-        ]
-    }
-    #[inline(always)]
-    fn big_s1(e: V) -> V {
-        e.map(|x| x.rotate_right(6) ^ x.rotate_right(11) ^ x.rotate_right(25))
-    }
-    #[inline(always)]
-    fn big_s0(a: V) -> V {
-        a.map(|x| x.rotate_right(2) ^ x.rotate_right(13) ^ x.rotate_right(22))
-    }
-    #[inline(always)]
-    fn ch(e: V, f: V, g: V) -> V {
-        [
-            (e[0] & f[0]) ^ (!e[0] & g[0]),
-            (e[1] & f[1]) ^ (!e[1] & g[1]),
-            (e[2] & f[2]) ^ (!e[2] & g[2]),
-            (e[3] & f[3]) ^ (!e[3] & g[3]),
-        ]
-    }
-    #[inline(always)]
-    fn maj(a: V, b: V, c: V) -> V {
-        [
-            (a[0] & b[0]) ^ (a[0] & c[0]) ^ (b[0] & c[0]),
-            (a[1] & b[1]) ^ (a[1] & c[1]) ^ (b[1] & c[1]),
-            (a[2] & b[2]) ^ (a[2] & c[2]) ^ (b[2] & c[2]),
-            (a[3] & b[3]) ^ (a[3] & c[3]) ^ (b[3] & c[3]),
-        ]
-    }
-
-    // Lane-transposed rolling schedule: w[i][lane].
-    let mut w = [[0u32; LANES]; 16];
-    for (i, word) in w.iter_mut().enumerate() {
-        for lane in 0..LANES {
-            word[lane] =
-                u32::from_be_bytes(blocks[lane][i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-    }
-
-    let reg = |r: usize| -> V { std::array::from_fn(|lane| states[lane][r]) };
-    let (mut a, mut b, mut c, mut d) = (reg(0), reg(1), reg(2), reg(3));
-    let (mut e, mut f, mut g, mut h) = (reg(4), reg(5), reg(6), reg(7));
-
-    // Same register-rotation unroll as the scalar core: only d and h are
-    // written per round, so no lane vector ever moves between names.
-    macro_rules! round4 {
-        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $t:expr) => {{
-            let wt = if $t < 16 {
-                w[$t & 15]
-            } else {
-                let s0 = w[($t + 1) & 15].map(small_s0);
-                let s1 = w[($t + 14) & 15].map(small_s1);
-                let wt = add(add(w[$t & 15], s0), add(w[($t + 9) & 15], s1));
-                w[$t & 15] = wt;
-                wt
-            };
-            let t1 = add(add($h, big_s1($e)), add(ch($e, $f, $g), addk(wt, K[$t])));
-            let t2 = add(big_s0($a), maj($a, $b, $c));
-            $d = add($d, t1);
-            $h = add(t1, t2);
-        }};
-    }
-    macro_rules! eight_rounds4 {
-        ($base:expr) => {{
-            round4!(a, b, c, d, e, f, g, h, $base);
-            round4!(h, a, b, c, d, e, f, g, $base + 1);
-            round4!(g, h, a, b, c, d, e, f, $base + 2);
-            round4!(f, g, h, a, b, c, d, e, $base + 3);
-            round4!(e, f, g, h, a, b, c, d, $base + 4);
-            round4!(d, e, f, g, h, a, b, c, $base + 5);
-            round4!(c, d, e, f, g, h, a, b, $base + 6);
-            round4!(b, c, d, e, f, g, h, a, $base + 7);
-        }};
-    }
-    eight_rounds4!(0);
-    eight_rounds4!(8);
-    eight_rounds4!(16);
-    eight_rounds4!(24);
-    eight_rounds4!(32);
-    eight_rounds4!(40);
-    eight_rounds4!(48);
-    eight_rounds4!(56);
-
-    let out = [a, b, c, d, e, f, g, h];
-    for (r, reg) in out.iter().enumerate() {
-        for lane in 0..LANES {
-            states[lane][r] = states[lane][r].wrapping_add(reg[lane]);
-        }
-    }
-}
-
-/// Hash four independent messages with the compression loops interleaved.
-/// Bit-identical to four [`sha256`] calls.
-pub fn sha256_x4(msgs: [&[u8]; 4]) -> [[u8; 32]; 4] {
-    let mut states = [H0; 4];
-    let n_blocks = msgs.map(|m| padded_blocks_of(m.len()));
-    let common = n_blocks.iter().copied().min().expect("4 lanes");
-    let mut blocks = [[0u8; 64]; 4];
-    for i in 0..common {
-        for lane in 0..4 {
-            padded_block(msgs[lane], i, &mut blocks[lane]);
-        }
-        compress4(&mut states, &blocks);
-    }
-    // Unequal lengths: the longer lanes finish serially.
-    let mut out = [[0u8; 32]; 4];
-    for lane in 0..4 {
-        for i in common..n_blocks[lane] {
-            padded_block(msgs[lane], i, &mut blocks[lane]);
-            compress_block(&mut states[lane], &blocks[lane]);
-        }
-        out[lane] = digest_of(&states[lane]);
-    }
-    out
-}
-
-/// Whether the interleaved lanes are worth taking: the `[u32; 4]` lane
-/// arrays only beat four scalar passes when they actually compile to
-/// vector registers. On baseline x86-64 (SSE2 has no 32-bit lane rotate
-/// worth using and LLVM keeps the lanes scalar) the interleave is 4x the
-/// scalar work, so the batch falls back to the one-shot loop unless the
-/// build opted into wider SIMD (`-C target-cpu=...` with AVX2).
-const BATCH_INTERLEAVES: bool = cfg!(target_feature = "avx2");
-
-/// Hash a batch of independent blobs (certificate chain fingerprints):
-/// quads go through the interleaved [`sha256_x4`] when the target's SIMD
-/// makes that profitable, otherwise each blob takes the one-shot path.
-/// Output order matches input order; bit-identical either way.
-pub fn sha256_batch(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
-    let mut out = Vec::with_capacity(msgs.len());
-    if BATCH_INTERLEAVES {
-        let mut quads = msgs.chunks_exact(4);
-        for quad in &mut quads {
-            out.extend(sha256_x4([quad[0], quad[1], quad[2], quad[3]]));
-        }
-        out.extend(quads.remainder().iter().map(|m| sha256(m)));
-    } else {
-        out.extend(msgs.iter().map(|m| sha256(m)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,35 +303,5 @@ mod tests {
             h.update(&data[..len]);
             assert_eq!(h.finalize(), sha256(&data[..len]), "len {len}");
         }
-    }
-
-    #[test]
-    fn x4_matches_oneshot_on_equal_and_ragged_lengths() {
-        let base: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        let cases: [[usize; 4]; 4] = [
-            [0, 0, 0, 0],
-            [64, 64, 64, 64],
-            [55, 56, 64, 65],
-            [1, 300, 4096, 57],
-        ];
-        for lens in cases {
-            let msgs = lens.map(|l| &base[..l]);
-            let batch = sha256_x4(msgs);
-            for lane in 0..4 {
-                assert_eq!(batch[lane], sha256(msgs[lane]), "lens {lens:?} lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_oneshot_including_tail() {
-        let blobs: Vec<Vec<u8>> = (0..11u8).map(|i| vec![i; 13 * i as usize + 1]).collect();
-        let refs: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-        let batch = sha256_batch(&refs);
-        assert_eq!(batch.len(), refs.len());
-        for (i, blob) in refs.iter().enumerate() {
-            assert_eq!(batch[i], sha256(blob), "blob {i}");
-        }
-        assert!(sha256_batch(&[]).is_empty());
     }
 }

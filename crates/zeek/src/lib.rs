@@ -47,8 +47,7 @@ pub use diag::{ErrorKind, IngestMode, IngestStats, ShardDiag, SkipSample, ERROR_
 pub use ip::Ipv4;
 pub use records::{SslRecord, TlsVersion, X509Record};
 pub use rotate::{
-    month_keys, partition_monthly, read_month_obs, read_monthly, read_monthly_obs,
-    read_monthly_pool, read_monthly_serial, read_monthly_serial_obs, read_monthly_serial_with,
+    available_workers, month_keys, partition_monthly, read_month_obs, read_monthly,
     read_monthly_with, write_monthly,
 };
 pub use tsv::{

@@ -12,7 +12,7 @@ use mtls_intern::FxHashMap;
 use mtls_obs::{Obs, SpanId};
 use std::io::BufReader;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `YYYY-MM` for a Unix-seconds timestamp (proleptic Gregorian).
 fn month_key(ts: f64) -> String {
@@ -113,10 +113,10 @@ type ShardResult = (ShardDiag, Result<ParsedShard, TsvError>);
 /// the caller either propagates them (strict) or quarantines (lenient).
 ///
 /// Each shard records one span (named after the shard file) under
-/// `parent`, so the span tree of a sharded read matches its serial twin
-/// regardless of worker interleaving. Metrics are batched — one counter
-/// add and one histogram observation per shard, never per row — keeping
-/// the instrumented hot path within the overhead budget.
+/// `parent`, so the span tree of a read is the same for every worker
+/// count and interleaving. Metrics are batched — one counter add and one
+/// histogram observation per shard, never per row — keeping the
+/// instrumented hot path within the overhead budget.
 fn read_shard(
     path: &Path,
     is_ssl: bool,
@@ -168,171 +168,85 @@ fn stitch(
     Ok((ssl, x509))
 }
 
+/// Worker count for the parallel readers: the machine's available
+/// parallelism (1 when it cannot be queried).
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Read a rotated directory back, concatenated in filename (chronological)
-/// order, parsing shard files concurrently and reporting per-shard
-/// diagnostics.
+/// order, with per-shard diagnostics.
 ///
 /// Each monthly shard is independent — parse work dominates I/O here — so
-/// shards are drained from one shared queue by a pool of scoped threads
-/// capped at [`std::thread::available_parallelism`] (a 23-month corpus is
-/// 46 files; spawning 46 threads on a small box costs more than it buys).
-/// Results are stitched back in sorted filename order, making the output
-/// byte-identical to [`read_monthly_serial_with`]; in strict mode the
-/// first shard error (in that same order) is reported, matching serial
-/// semantics, while lenient mode quarantines the failed shard and
-/// continues. Workers also fold their rows/bytes counters into shared
-/// relaxed atomics — one `fetch_add` batch per shard — which
-/// cross-checks the per-shard sums in the returned [`IngestStats`].
+/// with `workers > 1` the shards are drained from one shared queue by that
+/// many scoped threads (capped at the shard count); `workers <= 1` reads
+/// them in order on the caller's thread. Either way the results are
+/// stitched back in sorted filename order, so the output does not depend
+/// on `workers`: strict mode reports the first shard error in that order,
+/// lenient mode quarantines failed shards and keeps going.
+///
+/// Each shard records a span (named after its file) under `parent`, plus
+/// batched row/byte counters and a parse-latency histogram, so the span
+/// tree and counter totals are the same for every worker count.
+pub fn read_monthly(
+    dir: &Path,
+    mode: IngestMode,
+    workers: usize,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
+    let t0 = std::time::Instant::now();
+    let (ssl_files, x509_files) = shard_files(dir)?;
+    let tasks: Vec<(&Path, bool)> = ssl_files
+        .iter()
+        .map(|p| (p.as_path(), true))
+        .chain(x509_files.iter().map(|p| (p.as_path(), false)))
+        .collect();
+    let read = |&(path, is_ssl): &(&Path, bool)| read_shard(path, is_ssl, mode, obs, parent);
+    let workers = workers.min(tasks.len());
+    let slots: Vec<ShardResult> = if workers <= 1 {
+        tasks.iter().map(read).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, ShardResult)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(task) = tasks.get(i) else {
+                                return done;
+                            };
+                            done.push((i, read(task)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("shard reader panicked"))
+                .collect()
+        });
+        done.sort_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, result)| result).collect()
+    };
+    let mut stats = IngestStats {
+        mode,
+        ..IngestStats::default()
+    };
+    let (ssl, x509) = stitch(slots, mode, &mut stats)?;
+    stats.wall_micros = t0.elapsed().as_micros() as u64;
+    Ok((ssl, x509, stats))
+}
+
+/// Strict-or-lenient [`read_monthly`] on [`available_workers`] threads,
+/// without observability.
 pub fn read_monthly_with(
     dir: &Path,
     mode: IngestMode,
 ) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    read_monthly_obs(dir, mode, &Obs::noop(), None)
-}
-
-/// [`read_monthly_with`] with per-shard observability: each shard records
-/// a span (named after its file) under `parent`, plus batched row/byte
-/// counters and a parse-latency histogram.
-pub fn read_monthly_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    read_monthly_pool_obs(dir, mode, obs, parent, workers)
-}
-
-/// [`read_monthly_with`] with an explicit worker-pool size. This is the
-/// scaling probe behind `BENCH_ingest.json`'s `scaling` section (the
-/// `perf_smoke` bin sweeps pool sizes on whatever box it runs on);
-/// ordinary callers want the `available_parallelism` default of
-/// [`read_monthly_with`]. A pool of 0 or 1 takes the serial path.
-pub fn read_monthly_pool(
-    dir: &Path,
-    mode: IngestMode,
-    workers: usize,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    read_monthly_pool_obs(dir, mode, &Obs::noop(), None, workers)
-}
-
-fn read_monthly_pool_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-    workers: usize,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    let t0 = std::time::Instant::now();
-    let (ssl_files, x509_files) = shard_files(dir)?;
-    let n_tasks = ssl_files.len() + x509_files.len();
-    let workers = workers.min(n_tasks);
-    if workers <= 1 {
-        return read_monthly_serial_obs(dir, mode, obs, parent);
-    }
-
-    let next = AtomicUsize::new(0);
-    // Corpus-wide counters, shared by the pool: cheap because each worker
-    // adds a whole shard's counts at once, not per row.
-    let rows_parsed = AtomicU64::new(0);
-    let rows_skipped = AtomicU64::new(0);
-    let bytes_read = AtomicU64::new(0);
-    let per_worker: Vec<Vec<(usize, ShardResult)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
-                            return done;
-                        }
-                        let (diag, parsed) = if i < ssl_files.len() {
-                            read_shard(&ssl_files[i], true, mode, obs, parent)
-                        } else {
-                            read_shard(&x509_files[i - ssl_files.len()], false, mode, obs, parent)
-                        };
-                        rows_parsed.fetch_add(diag.rows_parsed, Ordering::Relaxed);
-                        rows_skipped.fetch_add(diag.rows_skipped(), Ordering::Relaxed);
-                        bytes_read.fetch_add(diag.bytes_read, Ordering::Relaxed);
-                        done.push((i, (diag, parsed)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard reader panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<ShardResult>> = (0..n_tasks).map(|_| None).collect();
-    for (i, result) in per_worker.into_iter().flatten() {
-        slots[i] = Some(result);
-    }
-    let mut stats = IngestStats {
-        mode,
-        ..IngestStats::default()
-    };
-    let ordered: Vec<_> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard task ran"))
-        .collect();
-    let (ssl, x509) = stitch(ordered, mode, &mut stats)?;
-    // The pool's atomic totals and the per-shard sums must agree; prefer
-    // the atomics (they are what a streaming consumer would watch).
-    debug_assert_eq!(stats.rows_parsed, rows_parsed.load(Ordering::Relaxed));
-    debug_assert_eq!(stats.rows_skipped, rows_skipped.load(Ordering::Relaxed));
-    stats.rows_parsed = rows_parsed.load(Ordering::Relaxed);
-    stats.rows_skipped = rows_skipped.load(Ordering::Relaxed);
-    stats.bytes_read = bytes_read.load(Ordering::Relaxed);
-    stats.wall_micros = t0.elapsed().as_micros() as u64;
-    Ok((ssl, x509, stats))
-}
-
-/// Serial reference reader: same contract as [`read_monthly_with`], one
-/// shard at a time. Kept as the equivalence baseline for tests and
-/// benchmarks.
-pub fn read_monthly_serial_with(
-    dir: &Path,
-    mode: IngestMode,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    read_monthly_serial_obs(dir, mode, &Obs::noop(), None)
-}
-
-/// [`read_monthly_serial_with`] with the same per-shard observability as
-/// [`read_monthly_obs`] — the serial and sharded paths must yield the
-/// same span rows and counter totals on a clean corpus.
-pub fn read_monthly_serial_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    let t0 = std::time::Instant::now();
-    let (ssl_files, x509_files) = shard_files(dir)?;
-    let mut stats = IngestStats {
-        mode,
-        ..IngestStats::default()
-    };
-    let mut ssl = Vec::new();
-    let mut x509 = Vec::new();
-    // One shard at a time, stopping at the first error in strict mode —
-    // the ordered-first-error semantics the parallel path reproduces.
-    let tasks = ssl_files
-        .iter()
-        .map(|p| (p, true))
-        .chain(x509_files.iter().map(|p| (p, false)));
-    for (path, is_ssl) in tasks {
-        let (diag, parsed) = read_shard(path, is_ssl, mode, obs, parent);
-        let (ssl_part, x509_part) = stitch(vec![(diag, parsed)], mode, &mut stats)?;
-        ssl.extend(ssl_part);
-        x509.extend(x509_part);
-    }
-    stats.wall_micros = t0.elapsed().as_micros() as u64;
-    Ok((ssl, x509, stats))
+    read_monthly(dir, mode, available_workers(), &Obs::noop(), None)
 }
 
 /// The month key embedded in a rotated shard filename
@@ -365,7 +279,7 @@ pub fn month_keys(dir: &Path) -> Result<Vec<String>, TsvError> {
 
 /// Read only the shards of one month (`ssl.<key>.log` / `x509.<key>.log`
 /// where present) — the unit of work a streaming ingest pushes as one
-/// epoch. Observability mirrors [`read_monthly_obs`]: one span per shard
+/// epoch. Observability mirrors [`read_monthly`]: one span per shard
 /// file under `parent`, batched row/byte counters, so a month-by-month
 /// walk of a directory produces the same span tree and counter totals as
 /// one batch read. Strict mode surfaces the first shard error in
@@ -425,16 +339,6 @@ pub fn partition_monthly(
         .collect()
 }
 
-/// Strict directory read (historical signature): first error aborts.
-pub fn read_monthly(dir: &Path) -> Result<(Vec<SslRecord>, Vec<X509Record>), TsvError> {
-    read_monthly_with(dir, IngestMode::Strict).map(|(ssl, x509, _)| (ssl, x509))
-}
-
-/// Strict serial directory read (historical signature).
-pub fn read_monthly_serial(dir: &Path) -> Result<(Vec<SslRecord>, Vec<X509Record>), TsvError> {
-    read_monthly_serial_with(dir, IngestMode::Strict).map(|(ssl, x509, _)| (ssl, x509))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,6 +384,15 @@ mod tests {
         }
     }
 
+    /// [`read_monthly`] without observability.
+    fn read(
+        dir: &Path,
+        mode: IngestMode,
+        workers: usize,
+    ) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
+        read_monthly(dir, mode, workers, &Obs::noop(), None)
+    }
+
     const MAY_2022: f64 = 1_651_363_200.0;
     const JUN_2022: f64 = 1_654_041_600.0;
 
@@ -519,16 +432,17 @@ mod tests {
         let text = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, text.replace("#fields\tts", "#fields\tbogus")).unwrap();
 
-        // Strict: both paths fail with BadHeader.
-        assert!(matches!(read_monthly(&dir), Err(TsvError::BadHeader)));
-        assert!(matches!(
-            read_monthly_serial(&dir),
-            Err(TsvError::BadHeader)
-        ));
+        // Strict: serial and parallel reads both fail with BadHeader.
+        for workers in [1, 4] {
+            assert!(matches!(
+                read(&dir, IngestMode::Strict, workers),
+                Err(TsvError::BadHeader)
+            ));
+        }
 
         // Lenient: the shard is quarantined, everything else survives.
-        for read in [read_monthly_with, read_monthly_serial_with] {
-            let (ssl_rt, x509_rt, stats) = read(&dir, IngestMode::Lenient).unwrap();
+        for workers in [1, 4] {
+            let (ssl_rt, x509_rt, stats) = read(&dir, IngestMode::Lenient, workers).unwrap();
             assert_eq!(ssl_rt, ssl);
             assert_eq!(x509_rt, vec![x509_at(JUN_2022, "f2")]);
             assert_eq!(stats.shards_quarantined, 1);
@@ -541,7 +455,7 @@ mod tests {
                 .expect("quarantined shard diag");
             assert_eq!(bad.shard, "x509.2022-05.log");
             assert_eq!(bad.quarantined.as_ref().unwrap().kind, ErrorKind::BadHeader);
-            // Atomic totals agree with the per-shard sums.
+            // Corpus-wide totals agree with the per-shard sums.
             let summed: u64 = stats.shards.iter().map(|d| d.rows_parsed).sum();
             assert_eq!(stats.rows_parsed, summed);
             assert!(stats.error_rate() > 0.0);
@@ -568,7 +482,7 @@ mod tests {
         assert!(names.contains(&"ssl.2022-06.log".to_string()));
         assert!(names.contains(&"x509.2022-05.log".to_string()));
 
-        let (ssl_rt, x509_rt) = read_monthly(&dir).unwrap();
+        let (ssl_rt, x509_rt, _) = read(&dir, IngestMode::Strict, 4).unwrap();
         assert_eq!(ssl_rt, ssl, "chronological concatenation");
         assert_eq!(x509_rt, x509);
         std::fs::remove_dir_all(&dir).ok();
@@ -585,9 +499,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mtlscope-rotate3-{}", std::process::id()));
         write_monthly(&dir, &ssl, &x509).unwrap();
 
-        let par = read_monthly(&dir).unwrap();
-        let ser = read_monthly_serial(&dir).unwrap();
-        assert_eq!(par, ser);
+        let (par_ssl, par_x509, _) = read(&dir, IngestMode::Strict, 4).unwrap();
+        let (ser_ssl, ser_x509, _) = read(&dir, IngestMode::Strict, 1).unwrap();
+        let par = (par_ssl, par_x509);
+        assert_eq!(par, (ser_ssl, ser_x509));
         assert_eq!(par.0, ssl);
         assert_eq!(par.1, x509);
         std::fs::remove_dir_all(&dir).ok();
@@ -619,7 +534,7 @@ mod tests {
             walked_ssl.extend(s);
             walked_x509.extend(x);
         }
-        let (batch_ssl, batch_x509) = read_monthly(&dir).unwrap();
+        let (batch_ssl, batch_x509, _) = read(&dir, IngestMode::Strict, 4).unwrap();
         assert_eq!(walked_ssl, batch_ssl);
         assert_eq!(walked_x509, batch_x509);
         assert_eq!(rows, 4);
@@ -663,7 +578,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("notes.txt"), "hi").unwrap();
         std::fs::write(dir.join("ssl.log"), "unrotated singleton").unwrap();
-        let (ssl, x509) = read_monthly(&dir).unwrap();
+        let (ssl, x509, _) = read(&dir, IngestMode::Strict, 4).unwrap();
         assert!(ssl.is_empty());
         assert!(x509.is_empty());
         std::fs::remove_dir_all(&dir).ok();

@@ -6,7 +6,7 @@
 //!
 //!     cargo run --release --example anomaly_hunt [scale]
 
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::{run_pipeline_parallel, AnalysisInputs};
 use mtlscope::netsim::{generate, SimConfig};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         sim.ssl.len(),
         sim.x509.len()
     );
-    let out = run_pipeline(AnalysisInputs::from_sim(sim));
+    let out = run_pipeline_parallel(AnalysisInputs::from_sim(sim));
 
     let mut alerts = 0usize;
 

@@ -6,7 +6,7 @@
 //!     cargo run --release --example campus_study [scale]
 
 use mtlscope::core::corpus::MetaKnowledge;
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::{run_pipeline_parallel, AnalysisInputs};
 use mtlscope::netsim::{generate, SimConfig};
 use std::io::BufReader;
 
@@ -54,7 +54,7 @@ fn main() {
         ct: sim.ct.clone(),
         gossip: sim.gossip.clone(),
     };
-    let out = run_pipeline(inputs);
+    let out = run_pipeline_parallel(inputs);
 
     // The paper's three headline findings (§1 Contributions).
     println!("\n--- 1) Prevalence of mutual TLS ---");

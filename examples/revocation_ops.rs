@@ -10,7 +10,7 @@
 //!     cargo run --release --example revocation_ops
 
 use mtlscope::asn1::Asn1Time;
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::{run_pipeline_parallel, AnalysisInputs};
 use mtlscope::crypto::Keypair;
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::pki::crl::{check_revocation, CrlBuilder};
@@ -25,7 +25,7 @@ fn main() {
         scale: 0.05,
         ..Default::default()
     });
-    let out = run_pipeline(AnalysisInputs::from_sim(sim));
+    let out = run_pipeline_parallel(AnalysisInputs::from_sim(sim));
     println!(
         "pipeline flagged {} of {} established mTLS connections ({:.1}%)",
         out.ext1.flagged_conns,

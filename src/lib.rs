@@ -13,11 +13,11 @@
 //!
 //! ```
 //! use mtlscope::netsim::{generate, SimConfig};
-//! use mtlscope::core::{run_pipeline, AnalysisInputs};
+//! use mtlscope::core::{run_pipeline_parallel, AnalysisInputs};
 //!
 //! // A tiny corpus (1 % of the default volume) for demonstration.
 //! let sim = generate(&SimConfig { seed: 42, scale: 0.01, ..Default::default() });
-//! let out = run_pipeline(AnalysisInputs::from_sim(sim));
+//! let out = run_pipeline_parallel(AnalysisInputs::from_sim(sim));
 //! assert!(out.tab1.all.total > 100);
 //! println!("{}", out.tab1.render());
 //! ```

@@ -6,7 +6,7 @@
 use mtlscope::classify::InfoType;
 use mtlscope::core::analyze::info_types::Cell;
 use mtlscope::core::analyze::ports::PortGroup;
-use mtlscope::core::{run_pipeline, AnalysisInputs, PipelineOutput, ServerAssociation};
+use mtlscope::core::{run_pipeline_parallel, AnalysisInputs, PipelineOutput, ServerAssociation};
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::pki::IssuerCategory;
 use std::sync::OnceLock;
@@ -19,7 +19,7 @@ fn output() -> &'static PipelineOutput {
             scale: 0.08,
             ..Default::default()
         });
-        run_pipeline(AnalysisInputs::from_sim(sim))
+        run_pipeline_parallel(AnalysisInputs::from_sim(sim))
     })
 }
 

@@ -3,7 +3,7 @@
 //! corpora must stay untouched, and the legacy bare-issuer path must agree
 //! with the proof-carrying path whenever the evidence is clean.
 
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::{run_pipeline_parallel, AnalysisInputs};
 use mtlscope::netsim::scenarios::{equivocating_log, sct_strip};
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::pki::GossipBundle;
@@ -22,7 +22,7 @@ fn excluded_conns(out: &mtlscope::core::PipelineOutput) -> usize {
 
 #[test]
 fn clean_corpus_detects_no_split_views_and_no_strips() {
-    let out = run_pipeline(AnalysisInputs::from_sim(generate(&small(4801))));
+    let out = run_pipeline_parallel(AnalysisInputs::from_sim(generate(&small(4801))));
     let s = &out.ct1.summary;
     assert!(s.proofs_mode, "gossip evidence present => verified path");
     assert_eq!(s.logs_observed, 1);
@@ -45,11 +45,11 @@ fn clean_corpus_detects_no_split_views_and_no_strips() {
 #[test]
 fn legacy_flag_matches_verified_filter_on_clean_corpus() {
     let sim = generate(&small(4802));
-    let verified = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
+    let verified = run_pipeline_parallel(AnalysisInputs::from_sim(sim.clone()));
 
     let mut legacy_inputs = AnalysisInputs::from_sim(sim);
-    legacy_inputs.gossip = GossipBundle::default(); // the --ct-legacy path
-    let legacy = run_pipeline(legacy_inputs);
+    legacy_inputs.gossip = GossipBundle::default(); // no ct_gossip.log: legacy filter
+    let legacy = run_pipeline_parallel(legacy_inputs);
 
     assert!(!legacy.ct1.summary.proofs_mode);
     assert!(verified.ct1.summary.proofs_mode);
@@ -72,7 +72,7 @@ fn equivocating_log_is_detected_with_full_recall() {
     let sim = generate(&config);
     assert_eq!(sim.meta.ct_forked_logs.len(), 1, "ground truth recorded");
 
-    let verified = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
+    let verified = run_pipeline_parallel(AnalysisInputs::from_sim(sim.clone()));
     let s = &verified.ct1.summary;
     assert_eq!(
         s.split_view_logs, verified.ct1.planted_forks,
@@ -101,7 +101,7 @@ fn equivocating_log_is_detected_with_full_recall() {
     // issuer, so bare issuer comparison excludes nothing.
     let mut legacy_inputs = AnalysisInputs::from_sim(sim);
     legacy_inputs.gossip = GossipBundle::default();
-    let legacy = run_pipeline(legacy_inputs);
+    let legacy = run_pipeline_parallel(legacy_inputs);
     assert_eq!(legacy.pre1.excluded_certs, 0);
     assert_eq!(excluded_conns(&legacy), 0);
 }
@@ -113,8 +113,8 @@ fn sct_stripped_twin_is_excluded_with_exact_counts() {
     let sim = generate(&config);
     assert!(sim.meta.ct_forked_logs.is_empty(), "no fork planted");
 
-    let baseline = run_pipeline(AnalysisInputs::from_sim(generate(&small(4804))));
-    let verified = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
+    let baseline = run_pipeline_parallel(AnalysisInputs::from_sim(generate(&small(4804))));
+    let verified = run_pipeline_parallel(AnalysisInputs::from_sim(sim.clone()));
     let s = &verified.ct1.summary;
     assert!(s.split_view_logs.is_empty(), "stripping is not a fork");
     assert_eq!(s.stripped_certs, 1, "exactly the unlogged twin");
@@ -128,7 +128,7 @@ fn sct_stripped_twin_is_excluded_with_exact_counts() {
     // matches CT exactly.
     let mut legacy_inputs = AnalysisInputs::from_sim(sim);
     legacy_inputs.gossip = GossipBundle::default();
-    let legacy = run_pipeline(legacy_inputs);
+    let legacy = run_pipeline_parallel(legacy_inputs);
     assert_eq!(legacy.ct1.summary.stripped_certs, 0);
     assert_eq!(excluded_conns(&legacy), excluded_conns(&baseline));
 }

@@ -1,5 +1,5 @@
-//! Sharded-ingest equivalence: the parallel directory loader must be an
-//! observationally exact replacement for the serial one — same records,
+//! Sharded-ingest equivalence: the directory loader on many workers must
+//! be an observationally exact replacement for one worker — same records,
 //! same corpus, byte-identical rendered report — on a realistic rotated
 //! (23-month) log directory. On a clean corpus the lenient loader must be
 //! observationally identical to the strict one; on a fault-injected corpus
@@ -8,13 +8,12 @@
 
 use mtlscope::core::corpus::Corpus;
 use mtlscope::core::ingest::{
-    load_dir, load_dir_obs, load_dir_serial, load_dir_serial_obs, load_dir_serial_with,
-    load_dir_streaming_obs, load_dir_with, StreamOptions,
+    load_dir, load_dir_streaming_obs, load_dir_with, IngestDiagnostics, IngestError, StreamOptions,
 };
 use mtlscope::core::testutil::faults;
 use mtlscope::core::{
-    run_pipeline, run_pipeline_obs, run_pipeline_parallel, run_pipeline_parallel_obs,
-    run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder, IngestMode,
+    run_pipeline, run_pipeline_parallel, run_pipeline_streamed_parallel_obs, AnalysisInputs,
+    CorpusBuilder, IngestMode, ANALYZE_SHARDS,
 };
 use mtlscope::intern::{FxHashSet, Interner};
 use mtlscope::netsim::{generate, SimConfig};
@@ -41,6 +40,27 @@ fn shard_name(path: &Path) -> String {
     path.file_name().unwrap().to_string_lossy().into_owned()
 }
 
+/// [`load_dir`] on `workers` threads, without observability.
+fn load_on(
+    dir: &Path,
+    mode: IngestMode,
+    workers: usize,
+) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    load_dir(dir, mode, workers, &Obs::noop(), None)
+}
+
+/// Strict [`load_dir`] on `workers` threads, records only.
+fn load_strict(dir: &Path, workers: usize) -> AnalysisInputs {
+    load_on(dir, IngestMode::Strict, workers)
+        .expect("strict ingest")
+        .0
+}
+
+/// [`run_pipeline`] on `workers` threads, without observability.
+fn run_on(inputs: AnalysisInputs, workers: usize) -> String {
+    run_pipeline(inputs, workers, &Obs::noop(), None).render_all()
+}
+
 #[test]
 fn sharded_ingest_equals_serial_ingest_byte_for_byte() {
     let sim = generate(&SimConfig {
@@ -51,8 +71,8 @@ fn sharded_ingest_equals_serial_ingest_byte_for_byte() {
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
 
-    let sharded = load_dir(&dir).expect("parallel ingest");
-    let serial = load_dir_serial(&dir).expect("serial ingest");
+    let sharded = load_strict(&dir, 4);
+    let serial = load_strict(&dir, 1);
 
     // Inputs agree field-for-field…
     assert_eq!(sharded.ssl, serial.ssl);
@@ -60,10 +80,8 @@ fn sharded_ingest_equals_serial_ingest_byte_for_byte() {
     assert_eq!(sharded.ct.len(), serial.ct.len());
 
     // …and the full analysis over them renders byte-identically,
-    // regardless of which pipeline entrypoint consumes which ingest.
-    let from_sharded = run_pipeline_parallel(sharded);
-    let from_serial = run_pipeline(serial);
-    assert_eq!(from_sharded.render_all(), from_serial.render_all());
+    // whatever worker count the pipeline runs on.
+    assert_eq!(run_on(sharded, 4), run_on(serial, 1));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -78,8 +96,8 @@ fn sharded_ingest_handles_unrotated_layout_too() {
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-flat-{}", std::process::id()));
     sim.write_to_dir(&dir).expect("write unrotated logs");
 
-    let sharded = load_dir(&dir).expect("parallel ingest");
-    let serial = load_dir_serial(&dir).expect("serial ingest");
+    let sharded = load_strict(&dir, 4);
+    let serial = load_strict(&dir, 1);
     assert_eq!(sharded.ssl, serial.ssl);
     assert_eq!(sharded.x509, serial.x509);
 
@@ -96,10 +114,10 @@ fn lenient_equals_strict_on_clean_corpus() {
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-clean-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
 
-    let (strict, strict_diag) = load_dir_with(&dir, IngestMode::Strict).expect("strict ingest");
-    let (lenient, lenient_diag) = load_dir_with(&dir, IngestMode::Lenient).expect("lenient ingest");
+    let (strict, strict_diag) = load_on(&dir, IngestMode::Strict, 4).expect("strict ingest");
+    let (lenient, lenient_diag) = load_on(&dir, IngestMode::Lenient, 4).expect("lenient ingest");
     let (lenient_serial, serial_diag) =
-        load_dir_serial_with(&dir, IngestMode::Lenient).expect("lenient serial ingest");
+        load_on(&dir, IngestMode::Lenient, 1).expect("lenient serial ingest");
 
     // Identical inputs, both against the strict parallel loader and
     // between the lenient parallel and serial paths.
@@ -123,10 +141,7 @@ fn lenient_equals_strict_on_clean_corpus() {
     }
 
     // …and the full analysis renders byte-identically from either mode.
-    assert_eq!(
-        run_pipeline_parallel(strict).render_all(),
-        run_pipeline(lenient).render_all()
-    );
+    assert_eq!(run_on(strict, 4), run_on(lenient, 1));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -163,10 +178,10 @@ fn span_tree_is_deterministic_across_serial_and_sharded_ingest() {
 
     let obs_sharded = Obs::new();
     let (sharded, sharded_diag) =
-        load_dir_obs(&dir, IngestMode::Strict, &obs_sharded, None).expect("sharded ingest");
+        load_dir(&dir, IngestMode::Strict, 4, &obs_sharded, None).expect("sharded ingest");
     let obs_serial = Obs::new();
     let (serial, serial_diag) =
-        load_dir_serial_obs(&dir, IngestMode::Strict, &obs_serial, None).expect("serial ingest");
+        load_dir(&dir, IngestMode::Strict, 1, &obs_serial, None).expect("serial ingest");
     assert_eq!(sharded.ssl, serial.ssl);
     assert_eq!(sharded.x509, serial.x509);
 
@@ -242,14 +257,14 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-pobs-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let for_parallel = load_dir(&dir).expect("ingest");
-    let for_serial = load_dir(&dir).expect("ingest");
+    let for_parallel = load_strict(&dir, 4);
+    let for_serial = load_strict(&dir, 4);
     std::fs::remove_dir_all(&dir).ok();
 
     let obs_parallel = Obs::new();
-    let parallel_out = run_pipeline_parallel_obs(for_parallel, &obs_parallel, None);
+    let parallel_out = run_pipeline(for_parallel, 4, &obs_parallel, None);
     let obs_serial = Obs::new();
-    let serial_out = run_pipeline_obs(for_serial, &obs_serial, None);
+    let serial_out = run_pipeline(for_serial, 1, &obs_serial, None);
     assert_eq!(parallel_out.render_all(), serial_out.render_all());
 
     let snap_parallel = obs_parallel.snapshot();
@@ -343,7 +358,7 @@ fn streamed_pipeline_is_order_independent_and_matches_batch() {
     }
 
     let obs_batch = Obs::new();
-    let batch = run_pipeline_parallel_obs(inputs, &obs_batch, None);
+    let batch = run_pipeline(inputs, ANALYZE_SHARDS, &obs_batch, None);
     let batch_report = batch.render_all();
     let snap_batch = obs_batch.snapshot();
 
@@ -370,7 +385,8 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
     let months = partition_monthly(inputs.ssl.clone(), inputs.x509.clone());
 
     // Ground truth straight from the raw rows: per fingerprint, the
-    // min/max connection timestamp over every chain that references it.
+    // min/max connection timestamp and the chain-reference count over
+    // every connection that references it.
     let mut expected: std::collections::HashMap<&str, (f64, f64, usize)> =
         std::collections::HashMap::new();
     let mut months_seen: std::collections::HashMap<&str, FxHashSet<&str>> =
@@ -383,6 +399,7 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
                     .or_insert((f64::INFINITY, f64::NEG_INFINITY, 0));
                 e.0 = e.0.min(rec.ts);
                 e.1 = e.1.max(rec.ts);
+                e.2 += 1;
                 months_seen.entry(fp).or_default().insert(key);
             }
         }
@@ -398,7 +415,8 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
         multi_month.len()
     );
 
-    // Forward and reverse push orders both converge to the ground truth.
+    // Forward and reverse push orders both converge to the ground truth
+    // on the certificates of the streamed corpus.
     for reverse in [false, true] {
         let mut order = clone_months(&months);
         if reverse {
@@ -409,12 +427,20 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
             builder.push_epoch(&key, ssl, x509);
         }
         let parts = builder.finish();
+        let corpus = Corpus::build(
+            parts.ssl,
+            parts.x509,
+            parts.meta,
+            &FxHashSet::default(),
+            Vec::new(),
+            Interner::new(),
+        );
         for fp in &multi_month {
-            let sym = parts.interner.get(fp).expect("fp interned");
-            let agg = parts.partials.get(&sym).expect("partial merged");
-            let (min_ts, max_ts, _) = expected[fp];
-            assert_eq!(agg.first_seen, min_ts, "first_seen merge for {fp}");
-            assert_eq!(agg.last_seen, max_ts, "last_seen merge for {fp}");
+            let cert = corpus.cert(corpus.cert_by_fp(fp).expect("cert joined"));
+            let (min_ts, max_ts, refs) = expected[fp];
+            assert_eq!(cert.first_seen, min_ts, "first_seen for {fp}");
+            assert_eq!(cert.last_seen, max_ts, "last_seen for {fp}");
+            assert_eq!(cert.conns, refs, "conns for {fp}");
         }
     }
 }
@@ -477,61 +503,13 @@ fn rolling_window_equals_batch_over_the_window_months() {
             }
         }
     }
-    let oracle = load_dir(&oracle_dir).expect("oracle ingest");
+    let (oracle, _) = load_dir_with(&oracle_dir, IngestMode::Strict).expect("oracle ingest");
     let oracle_report = run_pipeline_parallel(oracle).render_all();
 
     assert_eq!(windowed_report, oracle_report);
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&oracle_dir).ok();
-}
-
-#[test]
-fn columns_preview_tracks_the_batch_columns_after_every_push() {
-    let sim = generate(&SimConfig {
-        seed: 9108,
-        scale: 0.005,
-        ..Default::default()
-    });
-    let inputs = AnalysisInputs::from_sim(sim);
-    let months = partition_monthly(inputs.ssl.clone(), inputs.x509.clone());
-
-    let mut builder = CorpusBuilder::new(inputs.meta.clone());
-    let mut prefix_ssl = Vec::new();
-    let mut prefix_x509 = Vec::new();
-    for (key, ssl, x509) in months {
-        prefix_ssl.extend(ssl.iter().cloned());
-        prefix_x509.extend(x509.iter().cloned());
-        builder.push_epoch(&key, ssl, x509);
-
-        // Batch oracle over the months pushed so far, with no exclusions
-        // (the preview cannot know interception exclusions — only the
-        // finish-time filter can).
-        let oracle = Corpus::build(
-            prefix_ssl.clone(),
-            prefix_x509.clone(),
-            inputs.meta.clone(),
-            &FxHashSet::default(),
-            Vec::new(),
-            Interner::new(),
-        );
-        let (cert_cols, conn_cols) = builder.columns().expect("preview refreshed");
-        assert_eq!(cert_cols.validity_days, oracle.cert_cols.validity_days);
-        assert_eq!(cert_cols.not_valid_after, oracle.cert_cols.not_valid_after);
-        assert_eq!(cert_cols.category, oracle.cert_cols.category);
-        assert_eq!(
-            cert_cols.flags, oracle.cert_cols.flags,
-            "cert flags @ {key}"
-        );
-        assert_eq!(conn_cols.direction, oracle.conn_cols.direction);
-        assert_eq!(conn_cols.resp_p, oracle.conn_cols.resp_p);
-        assert_eq!(conn_cols.ts, oracle.conn_cols.ts);
-        assert_eq!(conn_cols.client_leaf, oracle.conn_cols.client_leaf);
-        assert_eq!(
-            conn_cols.flags, oracle.conn_cols.flags,
-            "conn flags @ {key}"
-        );
-    }
 }
 
 #[test]
@@ -543,7 +521,7 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-fault-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let clean = load_dir(&dir).expect("clean ingest");
+    let clean = load_strict(&dir, 4);
 
     let ssl_shards = shards(&dir, "ssl");
     let x509_shards = shards(&dir, "x509");
@@ -569,16 +547,16 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     // Strict aborts, and the parallel loader reports the same first error
     // (in serial shard order: the ColumnCount on the first ssl shard's
     // first data line, not the x509 header corruption further along).
-    let strict_par = load_dir_with(&dir, IngestMode::Strict).map(|_| ());
-    let strict_ser = load_dir_serial_with(&dir, IngestMode::Strict).map(|_| ());
+    let strict_par = load_on(&dir, IngestMode::Strict, 4).map(|_| ());
+    let strict_ser = load_on(&dir, IngestMode::Strict, 1).map(|_| ());
     let par_msg = strict_par.expect_err("strict must abort").to_string();
     let ser_msg = strict_ser.expect_err("strict must abort").to_string();
     assert_eq!(par_msg, ser_msg);
     assert!(par_msg.contains("columns"), "{par_msg}");
 
     // Lenient recovers: both paths, identical records, exact accounting.
-    for loader in [load_dir_with, load_dir_serial_with] {
-        let (inputs, diag) = loader(&dir, IngestMode::Lenient).expect("lenient ingest");
+    for workers in [4, 1] {
+        let (inputs, diag) = load_on(&dir, IngestMode::Lenient, workers).expect("lenient ingest");
         assert_eq!(inputs.ssl.len(), clean.ssl.len() - 3);
         assert_eq!(inputs.x509.len(), clean.x509.len() - lost_rows);
 

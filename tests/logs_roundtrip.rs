@@ -2,7 +2,7 @@
 //! identically, and the analysis over the re-read logs must equal the
 //! in-memory analysis.
 
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::{run_pipeline_parallel, AnalysisInputs, IngestMode};
 use mtlscope::netsim::{generate, SimConfig};
 use std::io::BufReader;
 
@@ -38,11 +38,12 @@ fn zeek_logs_round_trip_and_reanalyze_identically() {
 
     // Analysis over re-read logs equals in-memory analysis — through the
     // generic directory loader (meta.tsv + ct.log included).
-    let loaded = mtlscope::core::ingest::load_dir(&dir).expect("ingest");
+    let (loaded, _) =
+        mtlscope::core::ingest::load_dir_with(&dir, IngestMode::Strict).expect("ingest");
     assert_eq!(loaded.ssl, sim.ssl);
     assert_eq!(loaded.ct.len(), sim.ct.len());
-    let from_files = run_pipeline(loaded);
-    let in_memory = run_pipeline(AnalysisInputs::from_sim(sim));
+    let from_files = run_pipeline_parallel(loaded);
+    let in_memory = run_pipeline_parallel(AnalysisInputs::from_sim(sim));
     assert_eq!(from_files.tab1.all.total, in_memory.tab1.all.total);
     assert_eq!(from_files.tab1.all.mtls, in_memory.tab1.all.mtls);
     assert_eq!(from_files.fig3.total_certs, in_memory.fig3.total_certs);
@@ -76,7 +77,8 @@ fn rotated_logs_round_trip() {
         .count();
     assert!(ssl_files >= 20, "expected per-month files, got {ssl_files}");
 
-    let (ssl, x509) = mtlscope::zeek::read_monthly(&dir).expect("read rotated");
+    let (ssl, x509, _) =
+        mtlscope::zeek::read_monthly_with(&dir, IngestMode::Strict).expect("read rotated");
     assert_eq!(ssl.len(), sim.ssl.len());
     assert_eq!(x509.len(), sim.x509.len());
     // Records are already ts-sorted by the emitter, so chronological

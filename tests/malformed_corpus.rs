@@ -6,9 +6,10 @@
 //! fingerprint references — all without a panic anywhere in the pipeline.
 
 use mtlscope::core::ingest::load_dir_with;
-use mtlscope::core::pipeline::build_corpus;
+use mtlscope::core::pipeline::build_corpus_obs;
 use mtlscope::core::{run_pipeline_parallel, AnalysisInputs, IngestMode};
 use mtlscope::netsim::{generate, SimConfig};
+use mtlscope::obs::Obs;
 use mtlscope::x509::Certificate;
 
 fn config(include_malformed: bool) -> SimConfig {
@@ -49,7 +50,7 @@ fn malformed_scenario_is_accounted_through_the_whole_pipeline() {
 
     // The corpus joins what parsed and accounts what did not: one distinct
     // dangling fingerprint per skipped certificate.
-    let corpus = build_corpus(inputs);
+    let corpus = build_corpus_obs(inputs, &Obs::noop(), None);
     assert_eq!(corpus.dangling_fps as u64, stats.certs_skipped);
     assert!(corpus.dangling_fp_refs >= stats.certs_skipped);
     for fp in &corpus.dangling_samples {
@@ -66,7 +67,7 @@ fn malformed_scenario_default_off_keeps_corpus_fully_joined() {
     let sim = generate(&config(false));
     assert_eq!(sim.malformed.certs_skipped, 0);
     assert!(sim.malformed.sample_fps.is_empty());
-    let corpus = build_corpus(AnalysisInputs::from_sim(sim));
+    let corpus = build_corpus_obs(AnalysisInputs::from_sim(sim), &Obs::noop(), None);
     assert_eq!(corpus.dangling_fp_refs, 0);
     assert_eq!(corpus.dangling_fps, 0);
 }

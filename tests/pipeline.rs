@@ -1,8 +1,9 @@
 //! End-to-end pipeline integration: generate → analyze, and check the
 //! structural invariants every run must satisfy regardless of calibration.
 
-use mtlscope::core::{run_pipeline, AnalysisInputs, PipelineOutput};
+use mtlscope::core::{run_pipeline, run_pipeline_parallel, AnalysisInputs, PipelineOutput};
 use mtlscope::netsim::{generate, SimConfig};
+use mtlscope::obs::Obs;
 use std::sync::OnceLock;
 
 fn output() -> &'static PipelineOutput {
@@ -13,7 +14,7 @@ fn output() -> &'static PipelineOutput {
             scale: 0.05,
             ..Default::default()
         });
-        run_pipeline(AnalysisInputs::from_sim(sim))
+        run_pipeline_parallel(AnalysisInputs::from_sim(sim))
     })
 }
 
@@ -226,8 +227,15 @@ fn parallel_pipeline_matches_sequential() {
         scale: 0.01,
         ..Default::default()
     });
-    let sequential = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
-    let parallel = mtlscope::core::run_pipeline_parallel(AnalysisInputs::from_sim(sim));
+    let on = |workers| {
+        run_pipeline(
+            AnalysisInputs::from_sim(sim.clone()),
+            workers,
+            &Obs::noop(),
+            None,
+        )
+    };
+    let (sequential, parallel) = (on(1), on(4));
     assert_eq!(sequential.render_all(), parallel.render_all());
 }
 
