@@ -108,7 +108,7 @@ fn main() {
          \"overhead_pct_of_min\": {min_overhead_pct:.3},\n  \
          \"budget_pct\": {max_pct},\n  \
          \"passed\": {passed},\n  \
-         \"note\": \"overhead_pct is the asserted metric: median of per-round back-to-back differences over the median baseline, which cancels machine-wide drift. Instrumentation batches one counter add and one histogram record per shard, never per row, so the true cost is microseconds on a ~50ms pass.\"\n}}\n",
+         \"note\": \"overhead_pct is the asserted metric: median of per-round back-to-back differences over the median baseline, which cancels machine-wide drift. Instrumentation batches one counter add and one histogram record per shard, never per row, so the true cost is microseconds on a ~50-110ms pass.\"\n}}\n",
         median(&plain),
         median(&instrumented),
     );

@@ -4,16 +4,18 @@
 //! sweep, written as JSON for `ci/check_bench.py` to gate.
 //!
 //! Every fast path is measured against its in-tree reference twin in the
-//! same process (SWAR vs scalar module, one-shot vs streaming SHA, column
-//! vs row scan), so the *ratios* are meaningful even on a noisy box; the
-//! absolute MB/s only gate when the committed baseline was captured on a
-//! machine with the same core count.
+//! same process (SWAR vs scalar module, one-shot vs streaming SHA, the
+//! CPU-picked SHA kernel vs the portable core, column vs row scan), so the
+//! *ratios* are meaningful even on a noisy box; the absolute MB/s only
+//! gate when the committed baseline was captured on a machine with the
+//! same core count and SHA kernel.
 //!
 //! Usage: `cargo run --release -p mtls-bench --bin perf_smoke [--quick] [OUT.json]`
 
 use mtls_bench::{corpus, sim_output};
 use mtls_core::columns::conn_flag;
 use mtls_core::{build_corpus_obs, load_dir, Direction, IngestMode};
+use mtls_crypto::sha256::{kernel_name, sha256_portable};
 use mtls_crypto::{hex, sha256, Sha256};
 use mtls_obs::Obs;
 use mtls_zeek::{available_workers, read_monthly, swar, write_ssl_log};
@@ -72,6 +74,7 @@ fn main() {
     }
     let rounds = if quick { QUICK } else { FULL };
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sha_kernel = kernel_name();
 
     // ---- fixture: a real serialized ssl.log shard (authentic delimiter
     // density) and the shared bench corpus.
@@ -113,14 +116,19 @@ fn main() {
         }
     });
 
-    // ---- SHA-256: one-shot vs streaming (the pre-rewrite path shape), on
-    // certificate-blob-sized messages.
+    // ---- SHA-256: one-shot vs streaming (the pre-rewrite path shape) and
+    // vs the portable core, on certificate-blob-sized messages.
     let blob = vec![0xA5u8; 4096];
     let sha_iters = if quick { 64 } else { 256 };
     let sha_bytes = blob.len() * sha_iters;
     let sha_oneshot = median_micros(&rounds, || {
         for _ in 0..sha_iters {
             black_box(sha256(black_box(&blob)));
+        }
+    });
+    let sha_portable = median_micros(&rounds, || {
+        for _ in 0..sha_iters {
+            black_box(sha256_portable(black_box(&blob)));
         }
     });
     let sha_streaming = median_micros(&rounds, || {
@@ -213,6 +221,7 @@ fn main() {
     let scan_speedup_count = ratio(scalar_count as f64, swar_count as f64);
     let scan_speedup_split = ratio(scalar_split as f64, swar_split as f64);
     let sha_speedup_oneshot = ratio(sha_streaming as f64, sha_oneshot as f64);
+    let sha_speedup_hw = ratio(sha_portable as f64, sha_oneshot as f64);
     let columnar_speedup = ratio(row_scan as f64, columnar_scan as f64);
     let scaling_json = scaling
         .iter()
@@ -229,7 +238,7 @@ fn main() {
         "{{\n  \"bench\": \"crates/bench/src/bin/perf_smoke.rs\",\n  \
          \"command\": \"cargo run --release -p mtls-bench --bin perf_smoke\",\n  \
          \"quick\": {quick},\n  \
-         \"environment\": {{\"cpu_cores\": {cpu_cores}, \"variance_note\": \"this box shows +/-10-40% run-to-run noise; ci/check_bench.py gates medians with a matching noise band and only when cpu_cores matches\"}},\n  \
+         \"environment\": {{\"cpu_cores\": {cpu_cores}, \"sha_kernel\": \"{sha_kernel}\", \"variance_note\": \"this box shows +/-10-40% run-to-run noise; ci/check_bench.py gates medians with a matching noise band and only when cpu_cores and sha_kernel match\"}},\n  \
          \"rounds\": {{\"warmup\": {}, \"measured\": {}}},\n  \
          \"scan_mb_per_s\": {{\n    \
          \"swar_count_newlines\": {:.1},\n    \
@@ -240,8 +249,10 @@ fn main() {
          \"speedup_split\": {scan_speedup_split:.2}\n  }},\n  \
          \"sha256_mb_per_s\": {{\n    \
          \"oneshot\": {:.1},\n    \
+         \"portable_oneshot\": {:.1},\n    \
          \"streaming_64b_chunks\": {:.1},\n    \
-         \"oneshot_speedup_vs_streaming\": {sha_speedup_oneshot:.2}\n  }},\n  \
+         \"oneshot_speedup_vs_streaming\": {sha_speedup_oneshot:.2},\n    \
+         \"hw_speedup_vs_portable\": {sha_speedup_hw:.2}\n  }},\n  \
          \"hex_mb_per_s\": {{\"encode\": {:.1}, \"decode\": {:.1}}},\n  \
          \"analyzer_scan_us\": {{\n    \
          \"columnar_ports_fold\": {columnar_scan},\n    \
@@ -251,7 +262,7 @@ fn main() {
          \"end_to_end_median\": {:.2},\n    \
          \"parse_component_median\": {:.2}\n  }},\n  \
          \"worker_scaling\": [{scaling_json}],\n  \
-         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs. Worker scaling is shard-level; on a 1-core box all worker counts collapse to the serial path.\"\n}}\n",
+         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, portable_oneshot is the one-shot forced onto the portable compression core (oneshot runs the kernel named by environment.sha_kernel, so on a portable-only CPU the two coincide), row scan strides ConnInfo structs. Worker scaling is shard-level; on a 1-core box all worker counts collapse to the serial path.\"\n}}\n",
         rounds.warmup,
         rounds.measured,
         mb_per_s(scan_bytes, swar_count),
@@ -259,6 +270,7 @@ fn main() {
         mb_per_s(scan_bytes, swar_split),
         mb_per_s(scan_bytes, scalar_split),
         mb_per_s(sha_bytes, sha_oneshot),
+        mb_per_s(sha_bytes, sha_portable),
         mb_per_s(sha_bytes, sha_streaming),
         mb_per_s(raw.len(), hex_encode),
         mb_per_s(encoded.len(), hex_decode),
@@ -269,7 +281,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_speed.json");
     println!(
         "perf smoke: swar-count x{scan_speedup_count:.2}, swar-split x{scan_speedup_split:.2}, \
-         sha-oneshot x{sha_speedup_oneshot:.2}, columnar x{columnar_speedup:.2}, \
+         sha-oneshot x{sha_speedup_oneshot:.2}, sha-{sha_kernel} x{sha_speedup_hw:.2}, columnar x{columnar_speedup:.2}, \
          ingest {:.1}ms",
         ingest_e2e as f64 / 1000.0
     );

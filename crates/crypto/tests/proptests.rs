@@ -1,8 +1,9 @@
-//! Property tests: the one-shot SHA-256 path and the table-driven hex
-//! codec must be byte-identical to their reference counterparts on
-//! adversarial input — message lengths straddling the 55/56/64-byte
-//! padding boundaries and empty blobs.
+//! Property tests: the one-shot SHA-256 path, the CPU-picked compression
+//! kernel and the table-driven hex codec must be byte-identical to their
+//! reference counterparts on adversarial input — message lengths
+//! straddling the 55/56/64-byte padding boundaries and empty blobs.
 
+use mtls_crypto::sha256::sha256_portable;
 use mtls_crypto::{hex, sha256, Sha256};
 use proptest::prelude::*;
 
@@ -48,6 +49,13 @@ proptest! {
     #[test]
     fn oneshot_matches_streaming(msg in arb_msg(), split in 0usize..300) {
         prop_assert_eq!(sha256(&msg), streaming_ref(&msg, split));
+    }
+
+    #[test]
+    fn dispatched_kernel_matches_portable_core(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        prop_assert_eq!(sha256(&bytes), sha256_portable(&bytes));
     }
 
     #[test]
