@@ -1,9 +1,12 @@
 //! DER encoder.
 //!
 //! `DerWriter` appends TLVs to an internal buffer. Nested constructed types
-//! (`SEQUENCE`, `SET`, explicit context tags) are written through closures:
-//! the body is rendered into a scratch writer first so the definite length is
-//! known before the header is emitted — DER forbids indefinite lengths.
+//! (`SEQUENCE`, `SET`, explicit context tags) are written through closures
+//! straight into that buffer: the tag and a one-byte length go first, the
+//! closure appends the body after them, and the length is back-patched once
+//! the body is known — DER forbids indefinite lengths. Only a body of 128
+//! bytes or more, whose length needs the long form, is shifted right to make
+//! room for the extra length octets.
 
 use crate::oid::Oid;
 use crate::tag::Tag;
@@ -62,9 +65,19 @@ impl DerWriter {
             tag.is_constructed(),
             "constructed() needs a constructed tag"
         );
-        let mut inner = DerWriter::new();
-        f(&mut inner);
-        self.tlv(tag, &inner.buf);
+        self.buf.push(tag.octet());
+        self.buf.push(0);
+        let start = self.buf.len();
+        f(self);
+        let body = self.buf.len() - start;
+        if body < 0x80 {
+            self.buf[start - 1] = body as u8;
+            return;
+        }
+        let be = (body as u64).to_be_bytes();
+        let octets = long_form(&be);
+        self.buf[start - 1] = 0x80 | octets.len() as u8;
+        self.buf.splice(start..start, octets.iter().copied());
     }
 
     /// Write a `SEQUENCE`.
@@ -209,10 +222,15 @@ pub(crate) fn write_length(buf: &mut Vec<u8>, len: usize) {
         buf.push(len as u8);
     } else {
         let be = (len as u64).to_be_bytes();
-        let skip = be.iter().take_while(|&&b| b == 0).count();
-        buf.push(0x80 | (8 - skip) as u8);
-        buf.extend_from_slice(&be[skip..]);
+        let octets = long_form(&be);
+        buf.push(0x80 | octets.len() as u8);
+        buf.extend_from_slice(octets);
     }
+}
+
+/// The minimal big-endian length octets that follow a long-form `0x8n`.
+fn long_form(be: &[u8; 8]) -> &[u8] {
+    &be[be.iter().take_while(|&&b| b == 0).count()..]
 }
 
 /// PrintableString character set per X.680.
@@ -229,6 +247,7 @@ pub fn is_printable_string(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn short_and_long_lengths() {
@@ -338,6 +357,99 @@ mod tests {
             w.finish(),
             vec![0x30, 0x07, 0x30, 0x02, 0x05, 0x00, 0x01, 0x01, 0xFF]
         );
+    }
+
+    /// What `constructed` must produce: tag, `write_length`, body.
+    fn reference_tlv(tag: Tag, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![tag.octet()];
+        write_length(&mut out, body.len());
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn constructed_back_patches_every_length_form() {
+        for n in [0usize, 0x7F, 0x80, 0xFF, 0x100, 0xFFFF, 0x1_0000] {
+            let body: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            // Bytes before and after the value, and an enclosing SEQUENCE
+            // whose own length grows when the inner header widens.
+            let mut w = DerWriter::new();
+            w.null();
+            w.sequence(|w| {
+                w.boolean(true);
+                w.set(|w| w.raw(&body));
+            });
+            w.integer_i64(5);
+
+            let inner = reference_tlv(Tag::SET, &body);
+            let mut outer_body = vec![0x01, 0x01, 0xFF];
+            outer_body.extend_from_slice(&inner);
+            let mut want = vec![0x05, 0x00];
+            want.extend(reference_tlv(Tag::SEQUENCE, &outer_body));
+            want.extend_from_slice(&[0x02, 0x01, 0x05]);
+            assert_eq!(w.finish(), want, "body of {n:#x} bytes");
+        }
+    }
+
+    /// A DER tree for the nested proptest: context-tagged primitives and
+    /// constructed values.
+    #[derive(Debug, Clone)]
+    enum Node {
+        Primitive(u8, Vec<u8>),
+        Constructed(u8, Vec<Node>),
+    }
+
+    fn write_node(w: &mut DerWriter, node: &Node) {
+        match node {
+            Node::Primitive(n, body) => w.context_primitive(*n, body),
+            Node::Constructed(n, kids) => w.explicit(*n, |w| {
+                for kid in kids {
+                    write_node(w, kid);
+                }
+            }),
+        }
+    }
+
+    fn reference_node(node: &Node) -> Vec<u8> {
+        match node {
+            Node::Primitive(n, body) => reference_tlv(Tag::context(*n), body),
+            Node::Constructed(n, kids) => {
+                let body: Vec<u8> = kids.iter().flat_map(reference_node).collect();
+                reference_tlv(Tag::context_constructed(*n), &body)
+            }
+        }
+    }
+
+    /// Random DER trees nested up to `.0` levels deep. (The vendored
+    /// proptest has no `prop_recursive`, so the recursion is spelled out.)
+    struct Tree(u32);
+
+    impl Strategy for Tree {
+        type Value = Node;
+        fn generate(&self, rng: &mut proptest::TestRng) -> Node {
+            let n = (0u8..31).generate(rng);
+            if self.0 == 0 || (0u8..3).generate(rng) == 0 {
+                let body = proptest::collection::vec(any::<u8>(), 0..300).generate(rng);
+                Node::Primitive(n, body)
+            } else {
+                let kids = proptest::collection::vec(Tree(self.0 - 1), 0..6).generate(rng);
+                Node::Constructed(n, kids)
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn nested_constructed_matches_reference_encoder(
+            nodes in proptest::collection::vec(Tree(5), 1..4)
+        ) {
+            let mut w = DerWriter::new();
+            for n in &nodes {
+                write_node(&mut w, n);
+            }
+            let want: Vec<u8> = nodes.iter().flat_map(reference_node).collect();
+            prop_assert_eq!(w.finish(), want);
+        }
     }
 
     #[test]

@@ -162,9 +162,9 @@ fn bench_monitor(c: &mut Criterion) {
     let cfg = HandshakeConfig {
         version: TlsVersion::Tls12,
         sni: Some("bench.example.com".into()),
-        server_chain: vec![cert.to_der()],
+        server_chain: vec![cert.der()],
         request_client_cert: true,
-        client_chain: vec![cert.to_der()],
+        client_chain: vec![cert.der()],
         established: true,
         resumed: false,
         random_seed: 1,

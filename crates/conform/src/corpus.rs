@@ -260,13 +260,15 @@ pub fn golden_seeds() -> Vec<(&'static str, Vec<u8>)> {
     {
         use mtls_tlssim::msgs::{
             encode_certificate_body, encode_certificate_request_body, handshake_envelope,
-            ClientHello, ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST, HS_CLIENT_HELLO,
-            HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
+            put_handshake, ClientHello, ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST,
+            HS_CLIENT_HELLO, HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
         };
         use mtls_tlssim::wire::{write_fragmented, ContentType};
         use mtls_tlssim::TlsVersion;
 
         let chain: Vec<Vec<u8>> = vec![full.to_der().to_vec(), ca.certificate().to_der().to_vec()];
+        let mut certificate_body = Vec::new();
+        encode_certificate_body(&mut certificate_body, &chain);
 
         let ch = ClientHello {
             legacy_version: TlsVersion::Tls12,
@@ -295,10 +297,9 @@ pub fn golden_seeds() -> Vec<(&'static str, Vec<u8>)> {
             }
             .encode(&[0x24; 32]),
         );
-        flight.extend(handshake_envelope(
-            HS_CERTIFICATE,
-            &encode_certificate_body(&chain),
-        ));
+        put_handshake(&mut flight, HS_CERTIFICATE, |out| {
+            encode_certificate_body(out, &chain)
+        });
         flight.extend(handshake_envelope(
             HS_CERTIFICATE_REQUEST,
             &encode_certificate_request_body(),
@@ -315,11 +316,9 @@ pub fn golden_seeds() -> Vec<(&'static str, Vec<u8>)> {
             }
             .encode(&[0x24; 32]),
         ));
-        seeds.push(("hs_certificate_body", encode_certificate_body(&chain)));
-        seeds.push((
-            "hs_certificate_envelope",
-            handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&chain)),
-        ));
+        let envelope = handshake_envelope(HS_CERTIFICATE, &certificate_body);
+        seeds.push(("hs_certificate_body", certificate_body));
+        seeds.push(("hs_certificate_envelope", envelope));
     }
 
     seeds

@@ -1018,14 +1018,16 @@ fn stream_trace<'a>(chunks: impl Iterator<Item = &'a [u8]>) -> StreamTrace {
                 Ok(Some((header, payload))) => {
                     trace
                         .records
-                        .push((header.content_type.byte(), payload.clone()));
+                        .push((header.content_type.byte(), payload.to_vec()));
                     if header.content_type == mtls_tlssim::ContentType::Handshake
                         && trace.message_error.is_none()
                     {
-                        assembler.push(&payload);
+                        assembler.push(payload);
                         loop {
                             match assembler.next_message() {
-                                Ok(Some(msg)) => trace.messages.push(msg),
+                                Ok(Some((msg_type, body))) => {
+                                    trace.messages.push((msg_type, body.to_vec()))
+                                }
                                 Ok(None) => break,
                                 Err(e) => {
                                     trace.message_error = Some(e);
@@ -1120,7 +1122,11 @@ fn ep_certificate_body(input: &[u8]) -> Outcome {
     differential(
         input,
         |b| mtls_tlssim::msgs::parse_certificate_body(b).ok(),
-        |chain| mtls_tlssim::msgs::encode_certificate_body(chain),
+        |chain| {
+            let mut body = Vec::new();
+            mtls_tlssim::msgs::encode_certificate_body(&mut body, chain);
+            body
+        },
     )
 }
 

@@ -155,21 +155,17 @@ impl Emitter {
     /// Emit one connection: simulate the handshake bytes, run the passive
     /// monitor over them, and log what the monitor saw.
     pub fn connection(&mut self, spec: ConnSpec<'_>, rng: &mut impl Rng) {
-        self.connection_raw(
-            RawConnSpec {
-                ts: spec.ts,
-                orig: spec.orig,
-                resp: spec.resp,
-                resp_port: spec.resp_port,
-                version: spec.version,
-                sni: spec.sni,
-                server_chain: spec.server_chain.iter().map(|c| c.to_der()).collect(),
-                client_chain: spec.client_chain.iter().map(|c| c.to_der()).collect(),
-                established: spec.established,
-                resumed: spec.resumed,
-            },
-            rng,
-        );
+        let cfg = HandshakeConfig {
+            version: spec.version,
+            sni: spec.sni,
+            server_chain: spec.server_chain.iter().map(|c| c.der()).collect(),
+            request_client_cert: !spec.client_chain.is_empty(),
+            client_chain: spec.client_chain.iter().map(|c| c.der()).collect(),
+            established: spec.established,
+            resumed: spec.resumed,
+            random_seed: rng.gen(),
+        };
+        self.handshake(spec.ts, spec.orig, spec.resp, spec.resp_port, cfg, rng);
     }
 
     /// [`Emitter::connection`] over raw DER chains. Blobs that fail to
@@ -177,19 +173,33 @@ impl Emitter {
     /// `ssl.log`, but get no `x509.log` row (counted in
     /// [`SimOutput::malformed`]).
     pub fn connection_raw(&mut self, spec: RawConnSpec, rng: &mut impl Rng) {
-        // Clamp into the collection window (scenario arithmetic may land a
-        // reissued certificate's last connection a day past March 31 2024).
-        let ts = spec.ts.clamp(1_651_363_200.0, 1_711_843_199.0);
         let cfg = HandshakeConfig {
             version: spec.version,
-            sni: spec.sni.clone(),
-            server_chain: spec.server_chain,
+            sni: spec.sni,
+            server_chain: spec.server_chain.iter().map(Vec::as_slice).collect(),
             request_client_cert: !spec.client_chain.is_empty(),
-            client_chain: spec.client_chain,
+            client_chain: spec.client_chain.iter().map(Vec::as_slice).collect(),
             established: spec.established,
             resumed: spec.resumed,
             random_seed: rng.gen(),
         };
+        self.handshake(spec.ts, spec.orig, spec.resp, spec.resp_port, cfg, rng);
+    }
+
+    /// Simulate `cfg`'s handshake bytes, run the passive monitor over
+    /// them, and log what it saw.
+    fn handshake(
+        &mut self,
+        ts: f64,
+        orig: Ipv4,
+        resp: Ipv4,
+        resp_port: u16,
+        cfg: HandshakeConfig<'_>,
+        rng: &mut impl Rng,
+    ) {
+        // Clamp into the collection window (scenario arithmetic may land a
+        // reissued certificate's last connection a day past March 31 2024).
+        let ts = ts.clamp(1_651_363_200.0, 1_711_843_199.0);
         let transcript = simulate_handshake(&cfg);
         let obs = observe(&transcript).expect("simulated stream is TLS");
 
@@ -200,11 +210,11 @@ impl Emitter {
         self.ssl.push(SslRecord {
             ts,
             uid: format!("C{:08x}", self.uid_counter),
-            orig_h: spec.orig,
+            orig_h: orig,
             orig_p: rng.gen_range(32_768..61_000),
-            resp_h: spec.resp,
-            resp_p: spec.resp_port,
-            version: obs.version.unwrap_or(spec.version),
+            resp_h: resp,
+            resp_p: resp_port,
+            version: obs.version.unwrap_or(cfg.version),
             server_name: obs.sni,
             established: obs.established,
             cert_chain_fps,
@@ -263,17 +273,15 @@ impl Emitter {
     /// Compute the strata weight and package the output.
     pub fn finish(mut self, world: &World) -> SimOutput {
         // Stable output order: by timestamp, then uid (scenarios run in
-        // sequence, so raw order is scenario-grouped otherwise).
-        self.ssl.sort_by(|a, b| {
-            a.ts.partial_cmp(&b.ts)
-                .expect("no NaN ts")
-                .then(a.uid.cmp(&b.uid))
-        });
-        self.x509.sort_by(|a, b| {
-            a.ts.partial_cmp(&b.ts)
-                .expect("no NaN ts")
-                .then(a.fingerprint.cmp(&b.fingerprint))
-        });
+        // sequence, so raw order is scenario-grouped otherwise). Sorting
+        // small (ts, index) keys and moving each record once is cheaper
+        // than sorting the records themselves.
+        let ssl = std::mem::take(&mut self.ssl);
+        let order = sorted_order(&ssl, |r| r.ts, |a, b| a.uid.cmp(&b.uid));
+        self.ssl = permute(ssl, &order);
+        let x509 = std::mem::take(&mut self.x509);
+        let order = sorted_order(&x509, |r| r.ts, |a, b| a.fingerprint.cmp(&b.fingerprint));
+        self.x509 = permute(x509, &order);
 
         // Calibrate the non-mTLS strata weight so the first month's mTLS
         // share lands on the paper's 1.99 % (Fig. 1).
@@ -304,8 +312,7 @@ impl Emitter {
         // enabling gossip never perturbs the calibrated record streams.
         const CT_T0: u64 = 1_651_363_200;
         let honest = self.ct;
-        let forked = !self.ct_fork_entries.is_empty();
-        let campus = if forked {
+        let fork = (!self.ct_fork_entries.is_empty()).then(|| {
             // Splice the fabricated entries into the middle of the honest
             // sequence: the forked view shares a prefix with the honest one
             // (early STHs agree) but every root from the splice point on
@@ -322,9 +329,10 @@ impl Emitter {
                 campus.submit_entry(entry.clone());
             }
             campus
-        } else {
-            honest.clone()
-        };
+        });
+        let forked = fork.is_some();
+        // Without a fork the campus border sees the honest log itself.
+        let campus = fork.as_ref().unwrap_or(&honest);
 
         let mut observations = Vec::new();
         for (i, &size) in self.ct_campus_observations.iter().enumerate() {
@@ -353,7 +361,7 @@ impl Emitter {
         sizes.dedup();
         let mut consistency_proofs = Vec::new();
         for pair in sizes.windows(2) {
-            for view in [&honest, &campus] {
+            for view in [&honest, campus] {
                 if let Some(proof) = view.prove_consistency(pair[0], pair[1]) {
                     if !consistency_proofs.contains(&proof) {
                         consistency_proofs.push(proof);
@@ -417,12 +425,39 @@ impl Emitter {
         SimOutput {
             ssl: self.ssl,
             x509: self.x509,
-            ct: campus,
+            ct: fork.unwrap_or(honest),
             gossip,
             meta,
             malformed: self.malformed,
         }
     }
+}
+
+/// The indices of `items` in ascending `(ts, tie)` order. Timestamps are
+/// compared from a compact key array; `tie` reads the records only when
+/// two timestamps are equal.
+fn sorted_order<T>(
+    items: &[T],
+    ts: impl Fn(&T) -> f64,
+    tie: impl Fn(&T, &T) -> std::cmp::Ordering,
+) -> Vec<usize> {
+    let mut keys: Vec<(f64, usize)> = items.iter().map(&ts).zip(0..).collect();
+    keys.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("no NaN ts")
+            .then_with(|| tie(&items[a.1], &items[b.1]))
+    });
+    keys.into_iter().map(|(_, i)| i).collect()
+}
+
+/// `items` reordered so that position k holds the old `items[order[k]]`;
+/// each record moves once.
+fn permute<T>(items: Vec<T>, order: &[usize]) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    order
+        .iter()
+        .map(|&i| slots[i].take().expect("order is a permutation"))
+        .collect()
 }
 
 /// Convert a parsed certificate into its Zeek x509.log row.

@@ -33,6 +33,9 @@ pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl R
     let (spread, months) = mtls_spread(pairs, false);
     let sip_quota_server = config.scaled(targets::SERVER_PRIVATE_SIP);
     let mut sip_left = sip_quota_server;
+    // CN mix weights, plus the remainder for SIP URIs and hash CNs.
+    let mut weights: Vec<f64> = targets::WEBRTC_CN_MIX.iter().map(|(_, f)| *f).collect();
+    weights.push(1.0 - weights.iter().sum::<f64>());
 
     for k in 0..pairs {
         let ts = spread_ts(rng, k, &spread, &months);
@@ -43,10 +46,6 @@ pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl R
 
         // Both peers self-issue. The issuer string is the generator name
         // itself (how these appear in the wild).
-        let mix_weights: Vec<f64> = targets::WEBRTC_CN_MIX.iter().map(|(_, f)| *f).collect();
-        let remainder = 1.0 - mix_weights.iter().sum::<f64>();
-        let mut weights = mix_weights;
-        weights.push(remainder);
         let pick = pick_weighted(rng, &weights);
         let (server_cn, client_cn): (String, String) = if pick < targets::WEBRTC_CN_MIX.len() {
             let base = targets::WEBRTC_CN_MIX[pick].0;

@@ -8,6 +8,7 @@ use mtls_x509::DistinguishedName;
 use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A publicly trusted CA: root in ≥ 1 root program, plus one issuing
 /// intermediate (which is what leaf issuer DNs actually name).
@@ -39,8 +40,9 @@ pub struct World {
     pub campus_health_ca: CertificateAuthority,
     pub campus_vpn_ca: CertificateAuthority,
     pub campus_server_ca: CertificateAuthority,
-    /// On-demand private CAs, keyed by issuer organization string.
-    private_cas: RefCell<HashMap<String, CertificateAuthority>>,
+    /// On-demand private CAs, keyed by issuer organization string, shared
+    /// with every scenario that looks them up.
+    private_cas: RefCell<HashMap<String, Rc<CertificateAuthority>>>,
     /// Reference time (start of study).
     pub start: Asn1Time,
 }
@@ -145,10 +147,11 @@ impl World {
             .unwrap_or_else(|| panic!("unknown public CA {org}"))
     }
 
-    /// A private CA for the given organization, created on first use.
-    /// Deterministic per organization string. An empty `org` produces a CA
-    /// whose name is completely empty (the *MissingIssuer* population).
-    pub fn private_ca(&self, org: &str) -> CertificateAuthority {
+    /// A private CA for the given organization, created on first use and
+    /// shared afterwards. Deterministic per organization string. An empty
+    /// `org` produces a CA whose name is completely empty (the
+    /// *MissingIssuer* population).
+    pub fn private_ca(&self, org: &str) -> Rc<CertificateAuthority> {
         self.private_cas
             .borrow_mut()
             .entry(org.to_string())
@@ -158,27 +161,31 @@ impl World {
                 } else {
                     DistinguishedName::builder().organization(org).build()
                 };
-                CertificateAuthority::new_root(format!("priv:{org}").as_bytes(), name, self.start)
+                Rc::new(CertificateAuthority::new_root(
+                    format!("priv:{org}").as_bytes(),
+                    name,
+                    self.start,
+                ))
             })
             .clone()
     }
 
     /// A private CA with an explicit CN as well as organization (Globus's
     /// issuer CN is "FXP DCAU Cert" in the paper).
-    pub fn private_ca_with_cn(&self, org: &str, cn: &str) -> CertificateAuthority {
+    pub fn private_ca_with_cn(&self, org: &str, cn: &str) -> Rc<CertificateAuthority> {
         let key = format!("{org}\u{0}{cn}");
         self.private_cas
             .borrow_mut()
             .entry(key.clone())
             .or_insert_with(|| {
-                CertificateAuthority::new_root(
+                Rc::new(CertificateAuthority::new_root(
                     format!("priv-cn:{key}").as_bytes(),
                     DistinguishedName::builder()
                         .organization(org)
                         .common_name(cn)
                         .build(),
                     self.start,
-                )
+                ))
             })
             .clone()
     }

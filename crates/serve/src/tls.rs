@@ -19,8 +19,8 @@ use crate::frame::{encode_frame, Frame, FrameAssembler};
 use mtls_pki::{Authorizer, AuthzError, Tenant};
 use mtls_tlssim::msgs::{
     encode_certificate_body, encode_certificate_request_body, handshake_envelope,
-    parse_certificate_body, ClientHello, ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST,
-    HS_CLIENT_HELLO, HS_FINISHED, HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
+    parse_certificate_body, put_handshake, ClientHello, ServerHello, HS_CERTIFICATE,
+    HS_CERTIFICATE_REQUEST, HS_CLIENT_HELLO, HS_FINISHED, HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
 };
 use mtls_tlssim::stream::{HandshakeAssembler, RecordReader, RecordWriter, StreamError};
 use mtls_tlssim::wire::{legacy_version_bytes, ContentType};
@@ -104,11 +104,11 @@ fn next_handshake<R: Read>(
     assembler: &mut HandshakeAssembler,
 ) -> Result<(u8, Vec<u8>), SessionError> {
     loop {
-        if let Some(msg) = assembler
+        if let Some((msg_type, body)) = assembler
             .next_message()
             .map_err(|e| SessionError::Stream(StreamError::Wire(e)))?
         {
-            return Ok(msg);
+            return Ok((msg_type, body.to_vec()));
         }
         let Some((header, payload)) = reader.read_record()? else {
             return Err(SessionError::Stream(StreamError::UnexpectedEof));
@@ -167,10 +167,9 @@ pub fn accept<R: Read, W: Write>(
         HS_SERVER_HELLO,
         &sh.encode(&seeded_random(cfg.random_seed, 2)),
     );
-    flight.extend(handshake_envelope(
-        HS_CERTIFICATE,
-        &encode_certificate_body(&cfg.chain),
-    ));
+    put_handshake(&mut flight, HS_CERTIFICATE, |out| {
+        encode_certificate_body(out, &cfg.chain)
+    });
     flight.extend(handshake_envelope(
         HS_CERTIFICATE_REQUEST,
         &encode_certificate_request_body(),
@@ -272,10 +271,11 @@ pub fn connect<R: Read, W: Write>(
     }
 
     // Client Certificate + CCS + Finished.
-    writer.write(
-        ContentType::Handshake,
-        &handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&cfg.chain)),
-    )?;
+    let mut certificate = Vec::new();
+    put_handshake(&mut certificate, HS_CERTIFICATE, |out| {
+        encode_certificate_body(out, &cfg.chain)
+    });
+    writer.write(ContentType::Handshake, &certificate)?;
     writer.write_single(ContentType::ChangeCipherSpec, &[1])?;
     writer.write(
         ContentType::Handshake,

@@ -8,12 +8,11 @@
 //! as on the wire.
 
 use crate::msgs::{
-    encode_certificate_body, encode_certificate_request_body, handshake_envelope, ClientHello,
+    encode_certificate_body, encode_certificate_request_body, put_handshake, ClientHello,
     ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST, HS_CLIENT_HELLO, HS_FINISHED,
     HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
 };
-use crate::wire::{legacy_version_bytes, write_fragmented, ContentType};
-use bytes::BytesMut;
+use crate::wire::{legacy_version_bytes, write_fragmented, ContentType, MAX_FRAGMENT};
 use mtls_zeek::TlsVersion;
 
 /// Who sent a record.
@@ -30,9 +29,11 @@ pub struct TranscriptRecord {
     pub bytes: Vec<u8>,
 }
 
-/// Everything the two endpoints bring to one handshake.
+/// Everything the two endpoints bring to one handshake. The certificate
+/// chains are borrowed: the transcript copies each DER once, straight into
+/// its record bytes.
 #[derive(Debug, Clone)]
-pub struct HandshakeConfig {
+pub struct HandshakeConfig<'a> {
     /// Version the endpoints will settle on.
     pub version: TlsVersion,
     /// SNI the client offers (absent in a large slice of the paper's
@@ -40,11 +41,11 @@ pub struct HandshakeConfig {
     pub sni: Option<String>,
     /// Server certificate chain, leaf first, as DER blobs. May be empty
     /// (e.g. tunneling endpoints that only take client certs).
-    pub server_chain: Vec<Vec<u8>>,
+    pub server_chain: Vec<&'a [u8]>,
     /// Whether the server sends CertificateRequest.
     pub request_client_cert: bool,
     /// Client certificate chain, leaf first. Only sent when requested.
-    pub client_chain: Vec<Vec<u8>>,
+    pub client_chain: Vec<&'a [u8]>,
     /// Whether the handshake completes (failed handshakes never reach
     /// Finished and carry no application data).
     pub established: bool,
@@ -58,7 +59,7 @@ pub struct HandshakeConfig {
     pub random_seed: u64,
 }
 
-impl Default for HandshakeConfig {
+impl Default for HandshakeConfig<'_> {
     fn default() -> Self {
         HandshakeConfig {
             version: TlsVersion::Tls12,
@@ -84,20 +85,82 @@ fn seeded_random(seed: u64, label: u8) -> [u8; 32] {
     out
 }
 
-/// Generate the transcript for one connection.
-pub fn simulate_handshake(cfg: &HandshakeConfig) -> Vec<TranscriptRecord> {
-    let mut transcript = Vec::new();
-    let legacy = legacy_version_bytes(cfg.version);
-    let mut push = |direction: Direction, ct: ContentType, payload: &[u8]| {
-        // A handshake message larger than 2^14 (a fat certificate chain)
-        // must fragment across records — a single record would silently
-        // wrap its u16 length field. RFC 5246 §6.2.1.
-        let mut buf = BytesMut::with_capacity(payload.len() + 5);
-        write_fragmented(&mut buf, ct, legacy, payload);
-        transcript.push(TranscriptRecord {
-            direction,
-            bytes: buf.to_vec(),
+/// The transcript under construction. Each record's payload is written in
+/// place after a five-byte header whose length is back-patched.
+struct Transcript {
+    legacy: [u8; 2],
+    records: Vec<TranscriptRecord>,
+}
+
+impl Transcript {
+    /// One record whose payload `fill` writes straight into the record
+    /// buffer (`capacity` is the expected payload size).
+    fn record(
+        &mut self,
+        direction: Direction,
+        ct: ContentType,
+        capacity: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let mut bytes = Vec::with_capacity(5 + capacity);
+        bytes.extend_from_slice(&[ct.byte(), self.legacy[0], self.legacy[1], 0, 0]);
+        fill(&mut bytes);
+        let len = bytes.len() - 5;
+        if len <= MAX_FRAGMENT {
+            bytes[3..5].copy_from_slice(&(len as u16).to_be_bytes());
+        } else {
+            // A handshake message larger than 2^14 (a fat certificate
+            // chain) must fragment across records — a single record would
+            // silently wrap its u16 length field. RFC 5246 §6.2.1.
+            let mut fragmented = Vec::with_capacity(len + len.div_ceil(MAX_FRAGMENT) * 5);
+            write_fragmented(&mut fragmented, ct, self.legacy, &bytes[5..]);
+            bytes = fragmented;
+        }
+        self.records.push(TranscriptRecord { direction, bytes });
+    }
+
+    /// One record carrying a fixed payload.
+    fn plain(&mut self, direction: Direction, ct: ContentType, payload: &[u8]) {
+        self.record(direction, ct, payload.len(), |out| {
+            out.extend_from_slice(payload)
         });
+    }
+
+    /// One handshake record carrying one message whose body `body` writes
+    /// in place.
+    fn handshake(
+        &mut self,
+        direction: Direction,
+        msg_type: u8,
+        capacity: usize,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) {
+        self.record(direction, ContentType::Handshake, capacity + 4, |out| {
+            put_handshake(out, msg_type, body)
+        });
+    }
+
+    /// A Certificate message (possibly empty: RFC 5246 §7.4.6).
+    fn certificate(&mut self, direction: Direction, chain: &[&[u8]]) {
+        let body_len = 3 + chain.iter().map(|c| c.len() + 3).sum::<usize>();
+        self.handshake(direction, HS_CERTIFICATE, body_len, |out| {
+            encode_certificate_body(out, chain)
+        });
+    }
+
+    fn finished(&mut self, direction: Direction) {
+        self.handshake(direction, HS_FINISHED, 12, |out| {
+            out.extend_from_slice(&[0u8; 12])
+        });
+    }
+}
+
+/// Generate the transcript for one connection.
+pub fn simulate_handshake(cfg: &HandshakeConfig<'_>) -> Vec<TranscriptRecord> {
+    use Direction::{ClientToServer, ServerToClient};
+    let mut t = Transcript {
+        legacy: legacy_version_bytes(cfg.version),
+        records: Vec::with_capacity(11),
     };
 
     // ClientHello — always visible.
@@ -110,148 +173,80 @@ pub fn simulate_handshake(cfg: &HandshakeConfig) -> Vec<TranscriptRecord> {
             Vec::new()
         },
     };
-    push(
-        Direction::ClientToServer,
-        ContentType::Handshake,
-        &handshake_envelope(
-            HS_CLIENT_HELLO,
-            &ch.encode(&seeded_random(cfg.random_seed, 1)),
-        ),
-    );
+    let body = ch.encode(&seeded_random(cfg.random_seed, 1));
+    t.handshake(ClientToServer, HS_CLIENT_HELLO, body.len(), |out| {
+        out.extend_from_slice(&body)
+    });
 
     // ServerHello — always visible.
     let sh = ServerHello {
         version: cfg.version,
     };
-    push(
-        Direction::ServerToClient,
-        ContentType::Handshake,
-        &handshake_envelope(
-            HS_SERVER_HELLO,
-            &sh.encode(&seeded_random(cfg.random_seed, 2)),
-        ),
-    );
+    let body = sh.encode(&seeded_random(cfg.random_seed, 2));
+    t.handshake(ServerToClient, HS_SERVER_HELLO, body.len(), |out| {
+        out.extend_from_slice(&body)
+    });
 
     if cfg.resumed && cfg.version != TlsVersion::Tls13 {
         // Abbreviated handshake: straight to ChangeCipherSpec/Finished.
         if cfg.established {
-            push(
-                Direction::ServerToClient,
-                ContentType::ChangeCipherSpec,
-                &[1],
-            );
-            push(
-                Direction::ServerToClient,
-                ContentType::Handshake,
-                &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-            );
-            push(
-                Direction::ClientToServer,
-                ContentType::ChangeCipherSpec,
-                &[1],
-            );
-            push(
-                Direction::ClientToServer,
-                ContentType::Handshake,
-                &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-            );
-            push(
-                Direction::ClientToServer,
-                ContentType::ApplicationData,
-                &[0u8; 96],
-            );
+            t.plain(ServerToClient, ContentType::ChangeCipherSpec, &[1]);
+            t.finished(ServerToClient);
+            t.plain(ClientToServer, ContentType::ChangeCipherSpec, &[1]);
+            t.finished(ClientToServer);
+            t.plain(ClientToServer, ContentType::ApplicationData, &[0u8; 96]);
         } else {
-            push(Direction::ServerToClient, ContentType::Alert, &[2, 40]);
+            t.plain(ServerToClient, ContentType::Alert, &[2, 40]);
         }
-        return transcript;
+        return t.records;
     }
 
     if cfg.version == TlsVersion::Tls13 {
         // Everything after ServerHello is encrypted: certificates (either
         // direction) travel inside opaque application_data records. The
         // monitor sees size, not content.
-        let mut blob = encode_certificate_body(&cfg.server_chain);
+        let mut blob = Vec::new();
+        encode_certificate_body(&mut blob, &cfg.server_chain);
         if cfg.request_client_cert {
-            blob.extend_from_slice(&encode_certificate_body(&cfg.client_chain));
+            encode_certificate_body(&mut blob, &cfg.client_chain);
         }
         // Pad to hide exact sizes a little, like real 1.3 stacks do.
         blob.resize(blob.len() + 64, 0);
         for chunk in blob.chunks(16 * 1024 - 1) {
-            push(
-                Direction::ServerToClient,
-                ContentType::ApplicationData,
-                chunk,
-            );
+            t.plain(ServerToClient, ContentType::ApplicationData, chunk);
         }
         if cfg.established {
-            push(
-                Direction::ClientToServer,
-                ContentType::ApplicationData,
-                &[0u8; 48],
-            );
+            t.plain(ClientToServer, ContentType::ApplicationData, &[0u8; 48]);
         }
-        return transcript;
+        return t.records;
     }
 
     // TLS 1.2 and below: certificates in the clear.
     if !cfg.server_chain.is_empty() {
-        push(
-            Direction::ServerToClient,
-            ContentType::Handshake,
-            &handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&cfg.server_chain)),
-        );
+        t.certificate(ServerToClient, &cfg.server_chain);
     }
     if cfg.request_client_cert {
-        push(
-            Direction::ServerToClient,
-            ContentType::Handshake,
-            &handshake_envelope(HS_CERTIFICATE_REQUEST, &encode_certificate_request_body()),
-        );
+        let body = encode_certificate_request_body();
+        t.handshake(ServerToClient, HS_CERTIFICATE_REQUEST, body.len(), |out| {
+            out.extend_from_slice(&body)
+        });
     }
-    push(
-        Direction::ServerToClient,
-        ContentType::Handshake,
-        &handshake_envelope(HS_SERVER_HELLO_DONE, &[]),
-    );
+    t.handshake(ServerToClient, HS_SERVER_HELLO_DONE, 0, |_| {});
     if cfg.request_client_cert {
         // RFC 5246 §7.4.6: a client with no suitable certificate sends an
         // empty Certificate message.
-        push(
-            Direction::ClientToServer,
-            ContentType::Handshake,
-            &handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&cfg.client_chain)),
-        );
+        t.certificate(ClientToServer, &cfg.client_chain);
     }
     if cfg.established {
-        push(
-            Direction::ClientToServer,
-            ContentType::ChangeCipherSpec,
-            &[1],
-        );
-        push(
-            Direction::ClientToServer,
-            ContentType::Handshake,
-            &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-        );
-        push(
-            Direction::ServerToClient,
-            ContentType::ChangeCipherSpec,
-            &[1],
-        );
-        push(
-            Direction::ServerToClient,
-            ContentType::Handshake,
-            &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-        );
-        push(
-            Direction::ClientToServer,
-            ContentType::ApplicationData,
-            &[0u8; 96],
-        );
+        t.plain(ClientToServer, ContentType::ChangeCipherSpec, &[1]);
+        t.finished(ClientToServer);
+        t.plain(ServerToClient, ContentType::ChangeCipherSpec, &[1]);
+        t.finished(ServerToClient);
+        t.plain(ClientToServer, ContentType::ApplicationData, &[0u8; 96]);
     } else {
-        push(Direction::ServerToClient, ContentType::Alert, &[2, 40]); // fatal handshake_failure
+        t.plain(ServerToClient, ContentType::Alert, &[2, 40]); // fatal handshake_failure
     }
-    transcript
+    t.records
 }
 
 #[cfg(test)]
@@ -259,8 +254,19 @@ mod tests {
     use super::*;
     use crate::wire::{read_record, ContentType};
 
-    fn der(n: u8) -> Vec<u8> {
-        vec![0x30, 3, n, n, n]
+    /// A five-byte stand-in DER blob, distinct for each `n` below 10.
+    fn der(n: u8) -> &'static [u8] {
+        static DERS: [[u8; 5]; 10] = {
+            let mut all = [[0u8; 5]; 10];
+            let mut i = 0;
+            while i < 10 {
+                let b = i as u8;
+                all[i] = [0x30, 3, b, b, b];
+                i += 1;
+            }
+            all
+        };
+        &DERS[n as usize]
     }
 
     #[test]
@@ -340,7 +346,7 @@ mod tests {
             .unwrap();
         let mut cursor = &client_cert.bytes[..];
         let (_, payload) = read_record(&mut cursor).unwrap();
-        let (ty, body) = crate::msgs::parse_envelope(&payload).unwrap();
+        let (ty, body) = crate::msgs::parse_envelope(payload).unwrap();
         assert_eq!(ty, crate::msgs::HS_CERTIFICATE);
         assert!(crate::msgs::parse_certificate_body(body)
             .unwrap()
@@ -353,12 +359,12 @@ mod tests {
         // builds, so a >64 KiB certificate chain emitted a corrupt record.
         // Mint a chain well past 65535 bytes and check every emitted record
         // parses and respects the 2^14 fragment limit.
-        let big = vec![vec![0xAA; 30_000], vec![0xBB; 30_000], vec![0xCC; 30_000]];
+        let big = [vec![0xAA; 30_000], vec![0xBB; 30_000], vec![0xCC; 30_000]];
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
-            server_chain: big.clone(),
+            server_chain: big.iter().map(Vec::as_slice).collect(),
             request_client_cert: true,
-            client_chain: big,
+            client_chain: big.iter().map(Vec::as_slice).collect(),
             ..Default::default()
         };
         let t = simulate_handshake(&cfg);

@@ -38,9 +38,9 @@
 //! let cfg = HandshakeConfig {
 //!     version: TlsVersion::Tls12,
 //!     sni: Some("api.example.com".into()),
-//!     server_chain: vec![b"server-der".to_vec()],
+//!     server_chain: vec![b"server-der"],
 //!     request_client_cert: true,
-//!     client_chain: vec![b"client-der".to_vec()],
+//!     client_chain: vec![b"client-der"],
 //!     ..HandshakeConfig::default()
 //! };
 //! let seen = observe(&simulate_handshake(&cfg)).unwrap();

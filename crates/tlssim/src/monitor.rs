@@ -23,8 +23,9 @@ use crate::msgs::{
     HS_CLIENT_HELLO, HS_FINISHED, HS_SERVER_HELLO,
 };
 use crate::stream::{HandshakeAssembler, RecordDeframer};
-use crate::wire::{looks_like_tls, ContentType, WireError};
+use crate::wire::{looks_like_tls, read_record, ContentType, WireError};
 use mtls_zeek::TlsVersion;
+use std::borrow::Cow;
 
 /// What a passive observer learned about one connection.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -132,6 +133,24 @@ pub fn identity_exposure(
     exp
 }
 
+/// DPD over the client's byte stream. Only the first complete client
+/// record decides, so the client bytes are joined only when the first
+/// chunk ends inside that record, and only until it is complete.
+fn client_looks_like_tls(transcript: &[TranscriptRecord]) -> bool {
+    let mut chunks = transcript
+        .iter()
+        .filter(|r| r.direction == Direction::ClientToServer)
+        .map(|r| r.bytes.as_slice());
+    let mut head = Cow::Borrowed(chunks.next().unwrap_or_default());
+    for chunk in chunks {
+        if read_record(&mut &head[..]) != Err(WireError::Truncated) {
+            break;
+        }
+        head.to_mut().extend_from_slice(chunk);
+    }
+    looks_like_tls(&head)
+}
+
 /// Per-direction reassembly state: the record deframer, the handshake
 /// assembler stacked on top, and a dead flag once the byte stream stops
 /// making sense (a monitor cannot resync a corrupt TCP stream).
@@ -149,12 +168,7 @@ struct DirectionState {
 /// errors stop analysis of that direction but keep what was already
 /// extracted, matching how a real monitor degrades on truncated captures.
 pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation, WireError> {
-    let first_client: Vec<u8> = transcript
-        .iter()
-        .filter(|r| r.direction == Direction::ClientToServer)
-        .flat_map(|r| r.bytes.iter().copied())
-        .collect();
-    if !looks_like_tls(&first_client) {
+    if !client_looks_like_tls(transcript) {
         return Err(WireError::NotTls);
     }
 
@@ -185,7 +199,7 @@ pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation,
             };
             match header.content_type {
                 ContentType::Handshake => {
-                    state.assembler.push(&payload);
+                    state.assembler.push(payload);
                     loop {
                         let (msg_type, body) = match state.assembler.next_message() {
                             Ok(Some(msg)) => msg,
@@ -197,17 +211,17 @@ pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation,
                         };
                         match (rec.direction, msg_type) {
                             (Direction::ClientToServer, HS_CLIENT_HELLO) => {
-                                if let Ok(ch) = ClientHello::parse(&body) {
+                                if let Ok(ch) = ClientHello::parse(body) {
                                     obs.sni = ch.sni;
                                 }
                             }
                             (Direction::ServerToClient, HS_SERVER_HELLO) => {
-                                if let Ok(sh) = ServerHello::parse(&body) {
+                                if let Ok(sh) = ServerHello::parse(body) {
                                     obs.version = Some(sh.version);
                                 }
                             }
                             (Direction::ServerToClient, HS_CERTIFICATE) => {
-                                if let Ok(chain) = parse_certificate_body(&body) {
+                                if let Ok(chain) = parse_certificate_body(body) {
                                     obs.server_cert_ders = chain;
                                 }
                             }
@@ -215,7 +229,7 @@ pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation,
                                 obs.client_cert_requested = true;
                             }
                             (Direction::ClientToServer, HS_CERTIFICATE) => {
-                                if let Ok(chain) = parse_certificate_body(&body) {
+                                if let Ok(chain) = parse_certificate_body(body) {
                                     obs.client_cert_ders = chain;
                                 }
                             }
@@ -254,11 +268,22 @@ mod tests {
     use super::*;
     use crate::handshake::{simulate_handshake, HandshakeConfig};
 
-    fn der(n: u8) -> Vec<u8> {
-        vec![0x30, 3, n, n, n]
+    /// A five-byte stand-in DER blob, distinct for each `n` below 10.
+    fn der(n: u8) -> &'static [u8] {
+        static DERS: [[u8; 5]; 10] = {
+            let mut all = [[0u8; 5]; 10];
+            let mut i = 0;
+            while i < 10 {
+                let b = i as u8;
+                all[i] = [0x30, 3, b, b, b];
+                i += 1;
+            }
+            all
+        };
+        &DERS[n as usize]
     }
 
-    fn mutual_cfg(version: TlsVersion) -> HandshakeConfig {
+    fn mutual_cfg(version: TlsVersion) -> HandshakeConfig<'static> {
         HandshakeConfig {
             version,
             sni: Some("portal.health.example.edu".into()),
@@ -331,6 +356,42 @@ mod tests {
     }
 
     #[test]
+    fn dpd_accepts_a_first_client_record_split_into_single_bytes() {
+        let t = simulate_handshake(&mutual_cfg(TlsVersion::Tls12));
+        let baseline = observe(&t).unwrap();
+        let (hello, rest) = t.split_first().unwrap();
+        assert_eq!(hello.direction, Direction::ClientToServer);
+        let mut split: Vec<TranscriptRecord> = hello
+            .bytes
+            .iter()
+            .map(|b| TranscriptRecord {
+                direction: Direction::ClientToServer,
+                bytes: vec![*b],
+            })
+            .collect();
+        split.extend_from_slice(rest);
+        assert_eq!(observe(&split).unwrap(), baseline);
+    }
+
+    #[test]
+    fn dpd_rejects_a_non_tls_first_record_followed_by_valid_tls() {
+        let http = b"GET / HTTP/1.1\r\n\r\n";
+        // Whole, and split so the first chunk is shorter than a header.
+        for cut in [http.len(), 1, 3] {
+            let mut t: Vec<TranscriptRecord> = [&http[..cut], &http[cut..]]
+                .iter()
+                .filter(|part| !part.is_empty())
+                .map(|part| TranscriptRecord {
+                    direction: Direction::ClientToServer,
+                    bytes: part.to_vec(),
+                })
+                .collect();
+            t.extend(simulate_handshake(&mutual_cfg(TlsVersion::Tls12)));
+            assert_eq!(observe(&t), Err(WireError::NotTls), "cut at {cut}");
+        }
+    }
+
+    #[test]
     fn empty_client_cert_message_observed_as_empty() {
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
@@ -381,9 +442,9 @@ mod tests {
         let big_client = vec![vec![0x11; 40_000], vec![0x22; 40_000]];
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
-            server_chain: big_server.clone(),
+            server_chain: big_server.iter().map(Vec::as_slice).collect(),
             request_client_cert: true,
-            client_chain: big_client.clone(),
+            client_chain: big_client.iter().map(Vec::as_slice).collect(),
             ..Default::default()
         };
         let obs = observe(&simulate_handshake(&cfg)).unwrap();
@@ -465,40 +526,47 @@ mod rechunk_tests {
         out
     }
 
-    fn scenarios() -> Vec<HandshakeConfig> {
-        let der = |n: u8, len: usize| {
-            let mut v = vec![0x30, 3, n];
-            v.resize(len, n);
-            v
-        };
-        vec![
+    /// Transcripts of the scenarios the re-chunk properties run over.
+    fn scenario_transcripts() -> Vec<Vec<TranscriptRecord>> {
+        // Blob `n` (1-based) is `len` bytes long.
+        let blobs: Vec<Vec<u8>> = [900, 1200, 700, 30_000, 40_000, 50_000, 2_000, 2_000, 500]
+            .iter()
+            .zip(1u8..)
+            .map(|(&len, n)| {
+                let mut v = vec![0x30, 3, n];
+                v.resize(len, n);
+                v
+            })
+            .collect();
+        let der = |n: usize| blobs[n - 1].as_slice();
+        [
             HandshakeConfig {
                 version: TlsVersion::Tls12,
                 sni: Some("portal.example.edu".into()),
-                server_chain: vec![der(1, 900), der(2, 1200)],
+                server_chain: vec![der(1), der(2)],
                 request_client_cert: true,
-                client_chain: vec![der(3, 700)],
+                client_chain: vec![der(3)],
                 ..Default::default()
             },
             // The fragmentation-heavy case: chains far past one record.
             HandshakeConfig {
                 version: TlsVersion::Tls12,
-                server_chain: vec![der(4, 30_000), der(5, 40_000)],
+                server_chain: vec![der(4), der(5)],
                 request_client_cert: true,
-                client_chain: vec![der(6, 50_000)],
+                client_chain: vec![der(6)],
                 ..Default::default()
             },
             HandshakeConfig {
                 version: TlsVersion::Tls13,
                 sni: Some("dark.example.com".into()),
-                server_chain: vec![der(7, 2_000)],
+                server_chain: vec![der(7)],
                 request_client_cert: true,
-                client_chain: vec![der(8, 2_000)],
+                client_chain: vec![der(8)],
                 ..Default::default()
             },
             HandshakeConfig {
                 version: TlsVersion::Tls12,
-                server_chain: vec![der(9, 500)],
+                server_chain: vec![der(9)],
                 established: false,
                 ..Default::default()
             },
@@ -508,6 +576,9 @@ mod rechunk_tests {
                 ..Default::default()
             },
         ]
+        .iter()
+        .map(simulate_handshake)
+        .collect()
     }
 
     #[test]
@@ -517,8 +588,7 @@ mod rechunk_tests {
         // handshake messages torn across chunks — observe() returns
         // exactly what it returned for the pristine transcript.
         let mut rng = XorShift(0x1D5E_92A7_33C4_0F6B);
-        for (i, cfg) in scenarios().into_iter().enumerate() {
-            let transcript = simulate_handshake(&cfg);
+        for (i, transcript) in scenario_transcripts().into_iter().enumerate() {
             let baseline = observe(&transcript).unwrap();
             for round in 0..30 {
                 let chunked = rechunk(&transcript, &mut rng);
@@ -531,8 +601,7 @@ mod rechunk_tests {
     #[test]
     fn single_byte_trickle_matches_baseline() {
         // Degenerate extreme of the property: every chunk is one byte.
-        let cfg = scenarios().remove(1);
-        let transcript = simulate_handshake(&cfg);
+        let transcript = scenario_transcripts().remove(1);
         let baseline = observe(&transcript).unwrap();
         let trickled: Vec<TranscriptRecord> = transcript
             .iter()
@@ -549,8 +618,7 @@ mod rechunk_tests {
     #[test]
     fn glued_records_match_baseline() {
         // Opposite extreme: each direction arrives as ONE giant chunk.
-        for cfg in scenarios() {
-            let transcript = simulate_handshake(&cfg);
+        for transcript in scenario_transcripts() {
             let baseline = observe(&transcript).unwrap();
             let glue = |d: Direction| TranscriptRecord {
                 direction: d,
@@ -579,9 +647,9 @@ mod resumption_tests {
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
             sni: Some("cached.example.com".into()),
-            server_chain: vec![vec![0x30, 1, 0]],
+            server_chain: vec![&[0x30, 1, 0]],
             request_client_cert: true,
-            client_chain: vec![vec![0x30, 1, 1]],
+            client_chain: vec![&[0x30, 1, 1]],
             established: true,
             resumed: true,
             random_seed: 5,
@@ -689,12 +757,13 @@ mod resumption_tests {
 
     #[test]
     fn observation_method_routes_version_and_chain() {
+        let leaf = identity_leaf();
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
             sni: None,
-            server_chain: vec![vec![0x30, 3, 1, 1, 1]],
+            server_chain: vec![&[0x30, 3, 1, 1, 1]],
             request_client_cert: true,
-            client_chain: vec![identity_leaf()],
+            client_chain: vec![&leaf],
             established: true,
             resumed: false,
             random_seed: 3,

@@ -16,13 +16,21 @@ pub const HS_FINISHED: u8 = 20;
 pub const EXT_SNI: u16 = 0;
 pub const EXT_SUPPORTED_VERSIONS: u16 = 43;
 
+/// Append one handshake message, `msg_type | uint24 length | body`, to
+/// `out`. `body` writes the body in place after the header; its length is
+/// back-patched, so the body is never built apart and copied in.
+pub fn put_handshake(out: &mut Vec<u8>, msg_type: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(&[msg_type, 0, 0, 0]);
+    let start = out.len();
+    body(out);
+    let len = (out.len() - start) as u32;
+    out[start - 3..start].copy_from_slice(&len.to_be_bytes()[1..]);
+}
+
 /// Wrap a handshake body in the `msg_type | uint24 length | body` envelope.
 pub fn handshake_envelope(msg_type: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 4);
-    out.push(msg_type);
-    let len = body.len() as u32;
-    out.extend_from_slice(&len.to_be_bytes()[1..]);
-    out.extend_from_slice(body);
+    put_handshake(&mut out, msg_type, |out| out.extend_from_slice(body));
     out
 }
 
@@ -204,16 +212,17 @@ impl ServerHello {
     }
 }
 
-/// Encode a Certificate message body: `uint24 total | (uint24 len | DER)*`.
-pub fn encode_certificate_body(chain: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = chain.iter().map(|c| c.len() + 3).sum();
-    let mut out = Vec::with_capacity(total + 3);
+/// Append a Certificate message body, `uint24 total | (uint24 len | DER)*`,
+/// to `out`.
+pub fn encode_certificate_body(out: &mut Vec<u8>, chain: &[impl AsRef<[u8]>]) {
+    let total: usize = chain.iter().map(|c| c.as_ref().len() + 3).sum();
+    out.reserve(total + 3);
     out.extend_from_slice(&(total as u32).to_be_bytes()[1..]);
     for cert in chain {
+        let cert = cert.as_ref();
         out.extend_from_slice(&(cert.len() as u32).to_be_bytes()[1..]);
         out.extend_from_slice(cert);
     }
-    out
 }
 
 /// Parse a Certificate message body into DER blobs.
@@ -337,14 +346,30 @@ mod tests {
     #[test]
     fn certificate_body_round_trip() {
         let chain = vec![vec![1u8, 2, 3], vec![4u8; 300], vec![]];
-        let body = encode_certificate_body(&chain);
+        let mut body = Vec::new();
+        encode_certificate_body(&mut body, &chain);
         assert_eq!(parse_certificate_body(&body).unwrap(), chain);
     }
 
     #[test]
     fn empty_certificate_body() {
-        let body = encode_certificate_body(&[]);
+        let mut body = Vec::new();
+        encode_certificate_body(&mut body, &[] as &[&[u8]]);
         assert!(parse_certificate_body(&body).unwrap().is_empty());
+    }
+
+    #[test]
+    fn put_handshake_back_patches_the_length() {
+        let mut out = vec![0xEE];
+        put_handshake(&mut out, HS_CERTIFICATE, |out| {
+            encode_certificate_body(out, &[vec![7u8; 300]])
+        });
+        let mut want = vec![0xEE];
+        let mut body = Vec::new();
+        encode_certificate_body(&mut body, &[vec![7u8; 300]]);
+        want.extend(handshake_envelope(HS_CERTIFICATE, &body));
+        assert_eq!(out, want);
+        assert_eq!(&out[1..5], &[HS_CERTIFICATE, 0, 0x01, 0x32]);
     }
 
     #[test]

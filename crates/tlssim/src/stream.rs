@@ -7,13 +7,13 @@
 //! module supplies the incremental layers a real transport needs:
 //!
 //! * [`RecordDeframer`] — push bytes in any chunking, pull complete
-//!   records. Pure state machine, no I/O.
+//!   records, borrowed from its buffer. Pure state machine, no I/O.
 //! * [`HandshakeAssembler`] — push handshake-record payloads, pull
-//!   complete `(msg_type, body)` messages, reassembling messages split
-//!   across records.
+//!   complete `(msg_type, body)` messages, borrowed from its buffer,
+//!   reassembling messages split across records.
 //! * [`RecordReader`] / [`RecordWriter`] — the same machinery bound to
 //!   `std::io` streams, used by `mtlscope serve` to terminate mutual TLS
-//!   on a live `TcpStream`.
+//!   on a live `TcpStream`. The reader hands out owned payloads.
 //!
 //! The passive monitor's [`observe`](crate::monitor::observe) runs on the
 //! same deframer + assembler, which is what makes its output invariant
@@ -108,9 +108,10 @@ impl RecordDeframer {
         }
     }
 
-    /// Pull the next complete record. `Ok(None)` means "need more bytes";
-    /// an error is terminal.
-    pub fn next_record(&mut self) -> Result<Option<(RecordHeader, Vec<u8>)>, WireError> {
+    /// Pull the next complete record; its payload is borrowed from the
+    /// deframer's buffer. `Ok(None)` means "need more bytes"; an error is
+    /// terminal.
+    pub fn next_record(&mut self) -> Result<Option<(RecordHeader, &[u8])>, WireError> {
         if let Some(e) = self.dead {
             return Err(e);
         }
@@ -160,9 +161,10 @@ impl HandshakeAssembler {
         self.buf.len() - self.pos
     }
 
-    /// Pull the next complete handshake message. `Ok(None)` means a
-    /// partial message is waiting for more records.
-    pub fn next_message(&mut self) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+    /// Pull the next complete handshake message; its body is borrowed from
+    /// the assembler's buffer. `Ok(None)` means a partial message is
+    /// waiting for more records.
+    pub fn next_message(&mut self) -> Result<Option<(u8, &[u8])>, WireError> {
         let data = &self.buf[self.pos..];
         if data.len() < 4 {
             return Ok(None);
@@ -174,10 +176,8 @@ impl HandshakeAssembler {
         if data.len() < 4 + len {
             return Ok(None);
         }
-        let msg_type = data[0];
-        let body = data[4..4 + len].to_vec();
         self.pos += 4 + len;
-        Ok(Some((msg_type, body)))
+        Ok(Some((data[0], &data[4..4 + len])))
     }
 }
 
@@ -205,8 +205,8 @@ impl<R: Read> RecordReader<R> {
     /// [`StreamError::UnexpectedEof`].
     pub fn read_record(&mut self) -> Result<Option<(RecordHeader, Vec<u8>)>, StreamError> {
         loop {
-            if let Some(rec) = self.deframer.next_record()? {
-                return Ok(Some(rec));
+            if let Some((header, payload)) = self.deframer.next_record()? {
+                return Ok(Some((header, payload.to_vec())));
             }
             if self.eof {
                 return if self.deframer.pending() == 0 {
@@ -288,8 +288,8 @@ mod tests {
             let mut records = Vec::new();
             for chunk in stream.chunks(chunk_len) {
                 d.push(chunk);
-                while let Some(rec) = d.next_record().unwrap() {
-                    records.push(rec);
+                while let Some((h, payload)) = d.next_record().unwrap() {
+                    records.push((h, payload.to_vec()));
                 }
             }
             assert_eq!(records.len(), 2, "chunk_len={chunk_len}");
@@ -328,9 +328,9 @@ mod tests {
         let mut messages = Vec::new();
         while let Some((h, payload)) = d.next_record().unwrap() {
             assert_eq!(h.content_type, ContentType::Handshake);
-            a.push(&payload);
-            while let Some(m) = a.next_message().unwrap() {
-                messages.push(m);
+            a.push(payload);
+            while let Some((t, body)) = a.next_message().unwrap() {
+                messages.push((t, body.to_vec()));
             }
         }
         assert_eq!(messages.len(), 1);
@@ -345,8 +345,8 @@ mod tests {
         payload.extend(handshake_envelope(2, b"two"));
         let mut a = HandshakeAssembler::new();
         a.push(&payload);
-        assert_eq!(a.next_message().unwrap(), Some((1, b"one".to_vec())));
-        assert_eq!(a.next_message().unwrap(), Some((2, b"two".to_vec())));
+        assert_eq!(a.next_message().unwrap(), Some((1, &b"one"[..])));
+        assert_eq!(a.next_message().unwrap(), Some((2, &b"two"[..])));
         assert_eq!(a.next_message().unwrap(), None);
     }
 

@@ -4,7 +4,7 @@
 //! opaque fragment[length]; }` — the five-byte header every TLS record
 //! starts with, and the first thing dynamic protocol detection looks at.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
 
 /// RFC 5246/8446 §5.1: a record fragment carries at most 2^14 bytes.
 /// [`write_record`] refuses anything larger; [`write_fragmented`] splits
@@ -128,7 +128,7 @@ impl std::error::Error for WireError {}
 /// every record that carried a large certificate chain. Callers with big
 /// handshake payloads use [`write_fragmented`].
 pub fn write_record(
-    out: &mut BytesMut,
+    out: &mut impl BufMut,
     ct: ContentType,
     version: [u8; 2],
     payload: &[u8],
@@ -147,7 +147,7 @@ pub fn write_record(
 /// demands (RFC 5246 §6.2.1: a handshake message may be split across
 /// records). An empty payload still emits one (empty) record so the
 /// message boundary stays observable.
-pub fn write_fragmented(out: &mut BytesMut, ct: ContentType, version: [u8; 2], payload: &[u8]) {
+pub fn write_fragmented(out: &mut impl BufMut, ct: ContentType, version: [u8; 2], payload: &[u8]) {
     if payload.is_empty() {
         write_record(out, ct, version, payload).expect("empty fits");
         return;
@@ -158,8 +158,8 @@ pub fn write_fragmented(out: &mut BytesMut, ct: ContentType, version: [u8; 2], p
 }
 
 /// Read one record from the front of `buf`, advancing it. Returns the header
-/// and the payload slice (copied out).
-pub fn read_record(buf: &mut &[u8]) -> Result<(RecordHeader, Vec<u8>), WireError> {
+/// and the payload, borrowed from `buf`.
+pub fn read_record<'a>(buf: &mut &'a [u8]) -> Result<(RecordHeader, &'a [u8]), WireError> {
     if buf.len() < 5 {
         return Err(WireError::Truncated);
     }
@@ -174,8 +174,8 @@ pub fn read_record(buf: &mut &[u8]) -> Result<(RecordHeader, Vec<u8>), WireError
     if buf.len() < 5 + length {
         return Err(WireError::Truncated);
     }
-    let payload = buf[5..5 + length].to_vec();
-    buf.advance(5 + length);
+    let payload = &buf[5..5 + length];
+    *buf = &buf[5 + length..];
     Ok((
         RecordHeader {
             content_type: ct,
@@ -203,6 +203,7 @@ pub fn looks_like_tls(stream: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use mtls_zeek::TlsVersion;
 
     #[test]
@@ -316,7 +317,7 @@ mod tests {
             let (h, chunk) = read_record(&mut cursor).unwrap();
             assert_eq!(h.content_type, ContentType::Handshake);
             assert!(chunk.len() <= MAX_FRAGMENT);
-            reassembled.extend_from_slice(&chunk);
+            reassembled.extend_from_slice(chunk);
             records += 1;
         }
         assert_eq!(records, 70_000usize.div_ceil(MAX_FRAGMENT));

@@ -32,9 +32,9 @@ fn certificates_survive_the_wire() {
     let cfg = HandshakeConfig {
         version: TlsVersion::Tls12,
         sni: Some("api.campus.example.edu".into()),
-        server_chain: vec![server.to_der(), inter.to_der()],
+        server_chain: vec![server.der(), inter.der()],
         request_client_cert: true,
-        client_chain: vec![client.to_der()],
+        client_chain: vec![client.der()],
         established: true,
         resumed: false,
         random_seed: 1,
@@ -62,9 +62,9 @@ fn tls13_blinds_the_monitor_to_real_certs() {
     let cfg = HandshakeConfig {
         version: TlsVersion::Tls13,
         sni: Some("www.cloud.example".into()),
-        server_chain: vec![server.to_der()],
+        server_chain: vec![server.der()],
         request_client_cert: true,
-        client_chain: vec![client.to_der()],
+        client_chain: vec![client.der()],
         established: true,
         resumed: false,
         random_seed: 2,
@@ -95,9 +95,9 @@ proptest! {
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
             sni: None,
-            server_chain: server_chain.clone(),
+            server_chain: server_chain.iter().map(Vec::as_slice).collect(),
             request_client_cert: request,
-            client_chain: client_chain.clone(),
+            client_chain: client_chain.iter().map(Vec::as_slice).collect(),
             established,
             resumed: false,
             random_seed: seed,
@@ -141,12 +141,14 @@ proptest! {
         truncate_to in 0usize..2048,
         seed in any::<u64>(),
     ) {
+        let server = mint("fuzz.example.com", "Fuzz Org", b"fz");
+        let client = mint("fuzz-client", "Fuzz Org", b"fc");
         let cfg = HandshakeConfig {
             version: TlsVersion::Tls12,
             sni: Some("fuzz.example.com".into()),
-            server_chain: vec![mint("fuzz.example.com", "Fuzz Org", b"fz").to_der()],
+            server_chain: vec![server.der()],
             request_client_cert: true,
-            client_chain: vec![mint("fuzz-client", "Fuzz Org", b"fc").to_der()],
+            client_chain: vec![client.der()],
             established: true,
             resumed: false,
             random_seed: seed,

@@ -200,6 +200,11 @@ impl Certificate {
         self.der.clone()
     }
 
+    /// The full certificate DER, borrowed.
+    pub fn der(&self) -> &[u8] {
+        &self.der
+    }
+
     /// The DER bytes the signature covers.
     pub fn tbs_der(&self) -> &[u8] {
         &self.tbs_der

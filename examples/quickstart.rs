@@ -61,9 +61,9 @@ fn main() {
     let transcript = simulate_handshake(&HandshakeConfig {
         version: TlsVersion::Tls12,
         sni: Some("api.example.org".into()),
-        server_chain: vec![server_cert.to_der()],
+        server_chain: vec![server_cert.der()],
         request_client_cert: true,
-        client_chain: vec![client_cert.to_der()],
+        client_chain: vec![client_cert.der()],
         established: true,
         resumed: false,
         random_seed: 7,
@@ -96,9 +96,9 @@ fn main() {
     let dark = observe(&simulate_handshake(&HandshakeConfig {
         version: TlsVersion::Tls13,
         sni: Some("api.example.org".into()),
-        server_chain: vec![server_cert.to_der()],
+        server_chain: vec![server_cert.der()],
         request_client_cert: true,
-        client_chain: vec![client_cert.to_der()],
+        client_chain: vec![client_cert.der()],
         established: true,
         resumed: false,
         random_seed: 8,

@@ -44,9 +44,9 @@ fn through_the_wire(client: &Certificate) -> Certificate {
     let transcript = simulate_handshake(&HandshakeConfig {
         version: TlsVersion::Tls12,
         sni: Some("api.adv.example".into()),
-        server_chain: vec![server_cert().to_der()],
+        server_chain: vec![server_cert().der()],
         request_client_cert: true,
-        client_chain: vec![client.to_der()],
+        client_chain: vec![client.der()],
         established: true,
         resumed: false,
         random_seed: 0xADDED,
@@ -208,9 +208,9 @@ fn adversarial_shared_certificate_both_endpoints() {
     let transcript = simulate_handshake(&HandshakeConfig {
         version: TlsVersion::Tls12,
         sni: Some("FXP DCAU Cert".into()),
-        server_chain: vec![cert.to_der()],
+        server_chain: vec![cert.der()],
         request_client_cert: true,
-        client_chain: vec![cert.to_der()],
+        client_chain: vec![cert.der()],
         established: true,
         resumed: false,
         random_seed: 7,
