@@ -37,6 +37,10 @@ REQUIRED_PATHS = [
     "run/export",
 ] + [f"run/pipeline/analyze/{name}" for name in ANALYZERS]
 
+# Step spans of the proof-carrying §3.2 filter (crates/core/src/pipeline.rs,
+# ctverify): required whenever the counter ct.proofs_mode is 1.
+CT_FILTER_STEPS = ["ct_audit", "ct_verify", "issuer_aggregate", "sct_strip"]
+
 SPAN_FIELDS = {"path", "name", "depth", "count", "total_micros",
                "min_micros", "max_micros"}
 
@@ -128,6 +132,12 @@ def main(path):
         value = counters[name]
         if not isinstance(value, int) or value < 0:
             fail(f"counter {name!r} has non-counter value {value!r}")
+    if counters.get("ct.proofs_mode", 0) == 1:
+        for step in CT_FILTER_STEPS:
+            p = f"run/pipeline/interception_filter/{step}"
+            if p not in spans:
+                fail(f"ct.proofs_mode is 1 but filter step span {p!r} is "
+                     f"missing")
     if counters.get("ct.proofs_mode", 0) != 1:
         fail("ct.proofs_mode != 1 — fixture is missing ct_gossip.log, so "
              "the filter fell back to the legacy bare-issuer path")

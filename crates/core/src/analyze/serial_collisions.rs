@@ -1,10 +1,10 @@
 //! Experiment `ser1` — §5.1.2: certificates sharing the identical serial
 //! number within the same issuer's scope.
 
-use crate::corpus::{Corpus, Direction};
+use crate::corpus::{CertId, Corpus, Direction};
 use crate::report::{count, Table};
+use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_zeek::Ipv4;
-use std::collections::{HashMap, HashSet};
 
 /// One (issuer, serial) collision group.
 #[derive(Debug, Clone)]
@@ -35,20 +35,39 @@ pub struct Report {
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus) -> Report {
-    // Group unique mTLS certs by (issuer display, serial).
+    // Group unique mTLS certs by (issuer display, serial), borrowing both
+    // strings from the corpus. Almost every key is unique, so a first pass
+    // only counts, and only the collision groups (≥ 2 certificates)
+    // accumulate anything.
     #[derive(Default)]
     struct Acc {
         client_certs: usize,
         server_certs: usize,
-        cert_ids: HashSet<usize>,
         validities: Vec<i64>,
+        conns: usize,
+        clients: FxHashSet<Ipv4>,
     }
-    let mut by_key: HashMap<(String, String), Acc> = HashMap::new();
-    for (id, cert) in corpus.certs.iter().enumerate() {
-        if cert.excluded || !cert.in_mtls {
+    let live = || {
+        corpus
+            .certs
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.excluded && c.in_mtls)
+            .map(|(id, c)| (id, c, (c.rec.issuer.as_str(), c.rec.serial.as_str())))
+    };
+    let mut sizes: FxHashMap<(&str, &str), u32> =
+        FxHashMap::with_capacity_and_hasher(corpus.certs.len(), Default::default());
+    for (_, _, key) in live() {
+        *sizes.entry(key).or_default() += 1;
+    }
+    let mut by_key: FxHashMap<(&str, &str), Acc> = FxHashMap::default();
+    // Each colliding certificate's group, for the connection pass.
+    let mut colliding: FxHashMap<CertId, (&str, &str)> = FxHashMap::default();
+    for (id, cert, key) in live() {
+        if sizes[&key] < 2 {
             continue;
         }
-        let key = (cert.rec.issuer.clone(), cert.rec.serial.clone());
+        colliding.insert(id, key);
         let acc = by_key.entry(key).or_default();
         if cert.seen_as_client {
             acc.client_certs += 1;
@@ -56,24 +75,16 @@ pub fn run(corpus: &Corpus) -> Report {
         if cert.seen_as_server {
             acc.server_certs += 1;
         }
-        acc.cert_ids.insert(id);
         acc.validities.push(cert.rec.validity_days());
     }
-    by_key.retain(|_, acc| acc.cert_ids.len() >= 2);
 
-    // Mark colliding certificates for the connection pass.
-    let mut colliding: HashSet<usize> = HashSet::new();
-    for acc in by_key.values() {
-        colliding.extend(&acc.cert_ids);
-    }
-
-    let mut group_conns: HashMap<(String, String), (usize, HashSet<Ipv4>)> = HashMap::new();
-    let mut inbound_clients: HashSet<Ipv4> = HashSet::new();
-    let mut outbound_clients: HashSet<Ipv4> = HashSet::new();
-    let mut outbound_both: HashSet<Ipv4> = HashSet::new();
+    let mut inbound_clients: FxHashSet<Ipv4> = FxHashSet::default();
+    let mut outbound_clients: FxHashSet<Ipv4> = FxHashSet::default();
+    let mut outbound_both: FxHashSet<Ipv4> = FxHashSet::default();
     for conn in corpus.mtls_conns() {
-        let s = conn.server_leaf.filter(|id| colliding.contains(id));
-        let c = conn.client_leaf.filter(|id| colliding.contains(id));
+        let group_of = |leaf: Option<CertId>| leaf.and_then(|id| colliding.get(&id).copied());
+        let s = group_of(conn.server_leaf);
+        let c = group_of(conn.client_leaf);
         if s.is_none() && c.is_none() {
             continue;
         }
@@ -89,12 +100,12 @@ pub fn run(corpus: &Corpus) -> Report {
             }
             Direction::Transit => {}
         }
-        for id in [s, c].into_iter().flatten() {
-            let cert = corpus.cert(id);
-            let key = (cert.rec.issuer.clone(), cert.rec.serial.clone());
-            let entry = group_conns.entry(key).or_default();
-            entry.0 += 1;
-            entry.1.insert(conn.rec.orig_h);
+        for key in [s, c].into_iter().flatten() {
+            let acc = by_key
+                .get_mut(&key)
+                .expect("colliding certs map to live groups");
+            acc.conns += 1;
+            acc.clients.insert(conn.rec.orig_h);
         }
     }
 
@@ -103,17 +114,13 @@ pub fn run(corpus: &Corpus) -> Report {
         .map(|((issuer, serial), mut acc)| {
             acc.validities.sort();
             let median = acc.validities[acc.validities.len() / 2];
-            let (conns, clients) = group_conns
-                .get(&(issuer.clone(), serial.clone()))
-                .map(|(n, ips)| (*n, ips.len()))
-                .unwrap_or((0, 0));
             Group {
-                issuer,
-                serial,
+                issuer: issuer.to_string(),
+                serial: serial.to_string(),
                 client_certs: acc.client_certs,
                 server_certs: acc.server_certs,
-                conns,
-                clients,
+                conns: acc.conns,
+                clients: acc.clients.len(),
                 median_validity_days: median,
             }
         })

@@ -327,6 +327,23 @@ pub fn classify_cert(meta: &MetaKnowledge, rec: &X509Record) -> (bool, IssuerCat
     (public, category, issuer_recognizable)
 }
 
+/// [`extract_domain`]'s `(SLD, TLD)` memoised by the raw name string (an
+/// SNI or a certificate name): a capture repeats a few thousand names
+/// across hundreds of thousands of connections.
+#[derive(Default)]
+struct DomainMemo(FxHashMap<String, Option<(String, String)>>);
+
+impl DomainMemo {
+    fn get(&mut self, name: &str) -> Option<(String, String)> {
+        if let Some(pair) = self.0.get(name) {
+            return pair.clone();
+        }
+        let pair = extract_domain(name).map(|d| (d.registered_domain(), d.tld));
+        self.0.insert(name.to_string(), pair.clone());
+        pair
+    }
+}
+
 /// The fully joined corpus.
 pub struct Corpus {
     pub certs: Vec<CertInfo>,
@@ -371,6 +388,14 @@ impl Corpus {
     /// Takes the records by value: every record is *moved* into its
     /// `CertInfo`/`ConnInfo` slot, so the corpus build allocates no second
     /// copy of the log strings it was just handed by the parser.
+    ///
+    /// The per-row classifiers are pure and their inputs repeat heavily
+    /// (hundreds of issuers behind tens of thousands of certificates,
+    /// thousands of SNIs behind hundreds of thousands of connections), so
+    /// each runs once per distinct value: [`classify_cert`] per
+    /// `(issuer_org, issuer)`, and [`extract_domain`] per raw name string
+    /// (SNIs, plus the certificate names consulted only for connections
+    /// whose SNI yields no domain).
     pub fn build(
         ssl: Vec<SslRecord>,
         x509: Vec<X509Record>,
@@ -382,8 +407,26 @@ impl Corpus {
         let mut fp_index: FxHashMap<Symbol, CertId> =
             FxHashMap::with_capacity_and_hasher(x509.len(), FxBuildHasher);
         let mut certs: Vec<CertInfo> = Vec::with_capacity(x509.len());
+        // issuer display → [(issuer_org, verdict)]. Both fields are in the
+        // key: the public verdict also tests the display string. The org
+        // list behind one display string is almost always one long.
+        type Verdict = (bool, IssuerCategory, bool);
+        let mut verdicts: FxHashMap<String, Vec<(Option<String>, Verdict)>> = FxHashMap::default();
         for rec in x509 {
-            let (public, category, issuer_recognizable) = classify_cert(&meta, &rec);
+            let memo = verdicts.get(rec.issuer.as_str()).and_then(|by_org| {
+                by_org
+                    .iter()
+                    .find(|(org, _)| org.as_deref() == rec.issuer_org.as_deref())
+                    .map(|&(_, verdict)| verdict)
+            });
+            let (public, category, issuer_recognizable) = memo.unwrap_or_else(|| {
+                let verdict = classify_cert(&meta, &rec);
+                verdicts
+                    .entry(rec.issuer.clone())
+                    .or_default()
+                    .push((rec.issuer_org.clone(), verdict));
+                verdict
+            });
             let fp_sym = interner.intern(&rec.fingerprint);
             let excluded = excluded_fps.contains(&fp_sym);
             fp_index.insert(fp_sym, certs.len());
@@ -416,38 +459,53 @@ impl Corpus {
         let mut dangling_fp_refs = 0u64;
         let mut dangling_seen: FxHashSet<String> = FxHashSet::default();
         let mut dangling_samples: Vec<String> = Vec::new();
+        let mut domains = DomainMemo::default();
         for rec in ssl {
             let direction = meta.direction_of(&rec);
             let mtls = rec.is_mutual_tls();
-            let server_leaf = rec.cert_chain_fps.first().and_then(lookup);
-            let client_leaf = rec.client_cert_chain_fps.first().and_then(lookup);
 
-            // SLD/TLD: from SNI, falling back to certificate names (§4.2).
-            let mut domain = rec.server_name.as_deref().and_then(extract_domain);
-            if domain.is_none() {
-                if let Some(cid) = server_leaf {
-                    let cert = &certs[cid];
-                    domain = cert
-                        .rec
-                        .san_dns
-                        .iter()
-                        .chain(cert.rec.subject_cn.iter())
-                        .find_map(|name| extract_domain(name));
+            // Join the chains (resolving each fingerprint once), update the
+            // certificate aggregates, taint and dangling references. The
+            // first resolved position of each chain is its leaf.
+            let mut excluded = false;
+            let (mut server_leaf, mut client_leaf) = (None, None);
+            for (leaf, chain, as_server) in [
+                (&mut server_leaf, &rec.cert_chain_fps, true),
+                (&mut client_leaf, &rec.client_cert_chain_fps, false),
+            ] {
+                for (pos, fp) in chain.iter().enumerate() {
+                    if let Some(cid) = lookup(fp) {
+                        if pos == 0 {
+                            *leaf = Some(cid);
+                        }
+                        if certs[cid].excluded {
+                            excluded = true;
+                        }
+                        certs[cid].observe(&rec, as_server);
+                    } else {
+                        dangling_fp_refs += 1;
+                        if dangling_seen.insert(fp.clone()) && dangling_samples.len() < 8 {
+                            dangling_samples.push(fp.clone());
+                        }
+                    }
                 }
             }
-            if domain.is_none() {
-                if let Some(cid) = client_leaf {
-                    let cert = &certs[cid];
-                    domain = cert
-                        .rec
-                        .san_dns
-                        .iter()
-                        .chain(cert.rec.subject_cn.iter())
-                        .find_map(|name| extract_domain(name));
+
+            // SLD/TLD: from SNI, falling back to the server leaf's names,
+            // then the client leaf's (§4.2).
+            let mut domain = rec.server_name.as_deref().and_then(|sni| domains.get(sni));
+            for cid in [server_leaf, client_leaf].into_iter().flatten() {
+                if domain.is_some() {
+                    break;
                 }
+                let cert = &certs[cid].rec;
+                domain = cert
+                    .san_dns
+                    .iter()
+                    .chain(cert.subject_cn.iter())
+                    .find_map(|name| domains.get(name));
             }
-            let sld = domain.as_ref().map(|d| d.registered_domain());
-            let tld = domain.as_ref().map(|d| d.tld.clone());
+            let (sld, tld) = domain.unzip();
             let association = if direction == Direction::Inbound {
                 meta.association_for(sld.as_deref())
             } else {
@@ -455,27 +513,6 @@ impl Corpus {
             };
             let same_cert_both_ends =
                 mtls && rec.cert_chain_fps.first() == rec.client_cert_chain_fps.first();
-            let mut excluded = false;
-
-            // Update certificate aggregates (join, taint, dangling).
-            for (fp, as_server) in rec
-                .cert_chain_fps
-                .iter()
-                .map(|f| (f, true))
-                .chain(rec.client_cert_chain_fps.iter().map(|f| (f, false)))
-            {
-                if let Some(cid) = lookup(fp) {
-                    if certs[cid].excluded {
-                        excluded = true;
-                    }
-                    certs[cid].observe(&rec, as_server);
-                } else {
-                    dangling_fp_refs += 1;
-                    if dangling_seen.insert(fp.clone()) && dangling_samples.len() < 8 {
-                        dangling_samples.push(fp.clone());
-                    }
-                }
-            }
 
             conns.push(ConnInfo {
                 rec,
@@ -727,6 +764,139 @@ mod tests {
         assert!(corpus.certs[1].issuer_recognizable);
         assert_eq!(corpus.certs[2].category, IssuerCategory::MissingIssuer);
         assert_eq!(corpus.certs[3].category, IssuerCategory::Dummy);
+    }
+
+    #[test]
+    fn verdict_memo_keys_on_issuer_display_and_org() {
+        // Same org, but one display string names a public CA: the display
+        // string is part of the key, so the verdicts differ.
+        let private = x509("aa", Some("Proxy Org"));
+        let mut anchored = x509("bb", Some("Proxy Org"));
+        anchored.issuer = "O=Proxy Org, OU=DigiCert Inc".into();
+        // Same display string, org present vs absent: the org is part of
+        // the key too.
+        let campus = x509("cc", Some("Commonwealth University"));
+        let mut no_org = x509("dd", None);
+        no_org.issuer = campus.issuer.clone();
+        let mut again = anchored.clone();
+        again.fingerprint = "ff".into();
+        let certs = vec![
+            private,
+            anchored,
+            campus,
+            no_org,
+            x509("ee", Some("Proxy Org")),
+            again,
+        ];
+        let corpus = build_unfiltered(&[], &certs, meta());
+        assert!(!corpus.certs[0].public);
+        assert_eq!(corpus.certs[0].category, IssuerCategory::Others);
+        assert!(corpus.certs[1].public);
+        assert_eq!(corpus.certs[1].category, IssuerCategory::Public);
+        assert_eq!(corpus.certs[2].category, IssuerCategory::Education);
+        assert!(corpus.certs[2].issuer_recognizable);
+        assert_eq!(corpus.certs[3].category, IssuerCategory::MissingIssuer);
+        assert!(!corpus.certs[3].issuer_recognizable);
+        // Every row, memo hit or miss, equals the direct classification.
+        for (c, rec) in corpus.certs.iter().zip(&certs) {
+            assert_eq!(
+                (c.public, c.category, c.issuer_recognizable),
+                classify_cert(&corpus.meta, rec),
+                "{}",
+                rec.fingerprint
+            );
+        }
+    }
+
+    #[test]
+    fn domain_memo_matches_extract_domain() {
+        let internal = Ipv4::new(172, 29, 10, 5);
+        let external = Ipv4::new(98, 100, 1, 1);
+        let mut named = x509("srv", Some("Proxy Org"));
+        named.san_dns = vec!["WebRTC".into(), "api.Server-Side.com".into()];
+        let mut anonymous = x509("anon", None);
+        anonymous.subject_cn = Some("WebRTC".into());
+        let mut device = x509("dev", None);
+        device.subject_cn = Some("device.client-side.net".into());
+        let certs = vec![named, anonymous, device];
+        let ssl = vec![
+            // Mixed-case SNI, then its lowercase twin and a repeat.
+            conn(
+                external,
+                internal,
+                Some("Portal.Campus-Health.ORG"),
+                "srv",
+                None,
+            ),
+            conn(
+                external,
+                internal,
+                Some("portal.campus-health.org"),
+                "srv",
+                None,
+            ),
+            conn(
+                external,
+                internal,
+                Some("Portal.Campus-Health.ORG"),
+                "srv",
+                None,
+            ),
+            // Rejected SNI: the server leaf's names decide.
+            conn(external, internal, Some("localhost"), "srv", Some("dev")),
+            // Rejected SNI, nameless server leaf: the client leaf decides.
+            conn(external, internal, Some("localhost"), "anon", Some("dev")),
+            // No SNI, nothing decides.
+            conn(external, internal, None, "anon", None),
+            // No SNI, server leaf again (a memo hit on its names).
+            conn(internal, external, None, "srv", Some("dev")),
+        ];
+        let corpus = build_unfiltered(&ssl, &certs, meta());
+        let got: Vec<(Option<&str>, Option<&str>)> = corpus
+            .conns
+            .iter()
+            .map(|c| (c.sld.as_deref(), c.tld.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (Some("campus-health.org"), Some("org")),
+                (Some("campus-health.org"), Some("org")),
+                (Some("campus-health.org"), Some("org")),
+                (Some("server-side.com"), Some("com")),
+                (Some("client-side.net"), Some("net")),
+                (None, None),
+                (Some("server-side.com"), Some("com")),
+            ]
+        );
+        assert_eq!(
+            corpus.conns[0].association,
+            ServerAssociation::UniversityHealth
+        );
+        // The reference: SNI first, then server-leaf then client-leaf names.
+        for c in &corpus.conns {
+            let names = |leaf: Option<CertId>| -> Vec<String> {
+                leaf.map(|id| {
+                    let rec = &corpus.certs[id].rec;
+                    rec.san_dns
+                        .iter()
+                        .chain(rec.subject_cn.iter())
+                        .cloned()
+                        .collect()
+                })
+                .unwrap_or_default()
+            };
+            let expected = c
+                .rec
+                .server_name
+                .iter()
+                .cloned()
+                .chain(names(c.server_leaf))
+                .chain(names(c.client_leaf))
+                .find_map(|name| extract_domain(&name));
+            assert_eq!(c.sld, expected.as_ref().map(|d| d.registered_domain()));
+            assert_eq!(c.tld, expected.map(|d| d.tld));
+        }
     }
 
     #[test]

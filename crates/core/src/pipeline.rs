@@ -83,16 +83,24 @@ pub mod interception {
         candidate_share: f64,
         interner: &mut Interner,
     ) -> (FxHashSet<Symbol>, Vec<String>) {
-        aggregate(ssl, x509, meta, min_certs, candidate_share, interner, |c| {
-            is_candidate(c, ct)
-        })
+        let server_fps = server_leaf_fps(ssl);
+        aggregate(
+            &server_fps,
+            x509,
+            meta,
+            min_certs,
+            candidate_share,
+            interner,
+            |c| is_candidate(c, ct),
+        )
     }
 
     /// The issuer-aggregation half, generic over the per-certificate
     /// candidate predicate so the legacy (bare [`CtLog`]) and verified
     /// ([`super::ctverify`]) paths share one body and can never drift.
+    /// `server_fps` is [`server_leaf_fps`] of the capture.
     pub(crate) fn aggregate(
-        ssl: &[SslRecord],
+        server_fps: &FxHashSet<&str>,
         x509: &[X509Record],
         meta: &MetaKnowledge,
         min_certs: usize,
@@ -100,9 +108,6 @@ pub mod interception {
         interner: &mut Interner,
         is_cand: impl Fn(&X509Record) -> bool,
     ) -> (FxHashSet<Symbol>, Vec<String>) {
-        // Which fingerprints are used as server leaves?
-        let server_fps = server_leaf_fps(ssl);
-
         // Per private issuer: total server certs and candidate certs.
         let mut per_issuer: FxHashMap<&str, (usize, usize, Vec<Symbol>)> = FxHashMap::default();
         for cert in x509 {
@@ -186,25 +191,49 @@ pub mod ctverify {
         meta: &MetaKnowledge,
         interner: &mut Interner,
     ) -> (FxHashSet<Symbol>, Vec<String>, CtSummary) {
-        let audit = SplitViewDetector::audit(gossip);
-        let (verified, stats) = VerifiedCt::build(ct, &audit, gossip);
+        filter_traced(ssl, x509, ct, gossip, meta, interner, &Obs::noop(), None)
+    }
 
-        let (mut excluded, issuers) = interception::aggregate(
-            ssl,
-            x509,
-            meta,
-            interception::MIN_CERTS,
-            interception::CANDIDATE_SHARE,
-            interner,
-            |cert| is_candidate_verified(cert, &verified),
-        );
+    /// The body of [`filter`], recording one span per step
+    /// (`ct_audit`, `ct_verify`, `issuer_aggregate`, `sct_strip`) under
+    /// `parent`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn filter_traced(
+        ssl: &[SslRecord],
+        x509: &[X509Record],
+        ct: &CtLog,
+        gossip: &GossipBundle,
+        meta: &MetaKnowledge,
+        interner: &mut Interner,
+        obs: &Obs,
+        parent: Option<SpanId>,
+    ) -> (FxHashSet<Symbol>, Vec<String>, CtSummary) {
+        let audit = obs.time(parent, "ct_audit", || SplitViewDetector::audit(gossip));
+        let (verified, stats) = obs.time(parent, "ct_verify", || {
+            VerifiedCt::build(ct, &audit, gossip)
+        });
+
+        // One server-leaf set for both the aggregation and the strip check.
+        let (server_fps, (mut excluded, issuers)) = obs.time(parent, "issuer_aggregate", || {
+            let server_fps = interception::server_leaf_fps(ssl);
+            let aggregated = interception::aggregate(
+                &server_fps,
+                x509,
+                meta,
+                interception::MIN_CERTS,
+                interception::CANDIDATE_SHARE,
+                interner,
+                |cert| is_candidate_verified(cert, &verified),
+            );
+            (server_fps, aggregated)
+        });
 
         // SCT-strip detection: a middlebox that strips SCTs forwards a
         // certificate whose *exact* FQDN verified CT knows under the same
         // (public) issuer — yet the precise fingerprint was never logged.
         // Exact-domain matching only: wildcard/SLD matches would flag
         // unrelated unlogged renewals sharing a registered domain.
-        let server_fps = interception::server_leaf_fps(ssl);
+        let sct_strip = obs.span(parent, "sct_strip");
         let mut stripped_syms: FxHashSet<Symbol> = FxHashSet::default();
         let mut stripped_fps: FxHashSet<&str> = FxHashSet::default();
         for cert in x509 {
@@ -232,6 +261,7 @@ pub mod ctverify {
             })
             .count();
         excluded.extend(stripped_syms.iter().copied());
+        sct_strip.finish();
 
         let sum = |f: fn(&mtls_pki::gossip::LogAudit) -> usize| -> usize {
             audit.logs.iter().map(f).sum()
@@ -321,9 +351,10 @@ impl PipelineOutput {
 }
 
 /// Interception filter → interned corpus: the one corpus build. Records
-/// `interception_filter` and `corpus_build` spans under `parent`, plus the
-/// corpus-size gauges (certs, connections, interned strings) and
-/// interception counters.
+/// `interception_filter` (with one child per step on the proof-carrying
+/// path) and `corpus_build` spans under `parent`, plus the corpus-size
+/// gauges (certs, connections, interned strings) and interception
+/// counters.
 pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId>) -> Corpus {
     let AnalysisInputs {
         ssl,
@@ -348,34 +379,25 @@ fn corpus_from(
     parent: Option<SpanId>,
 ) -> Corpus {
     let mut interner = Interner::with_capacity(x509.len());
-    let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
-        run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
-    });
+    // Filter dispatch: with gossip evidence the proof-carrying
+    // `ctverify` stage runs (one child span per step), without it the
+    // legacy bare-issuer comparison (so file sets and captures that carry
+    // no `ct_gossip.log` behave exactly as before).
+    let filter_span = obs.span(parent, "interception_filter");
+    let (excluded, issuers, ct_summary) = if gossip.is_empty() {
+        let (excluded, issuers) = interception::filter(&ssl, &x509, ct, &meta, &mut interner);
+        (excluded, issuers, CtSummary::default())
+    } else {
+        let fid = filter_span.id();
+        ctverify::filter_traced(&ssl, &x509, ct, gossip, &meta, &mut interner, obs, fid)
+    };
+    filter_span.finish();
     let mut corpus = obs.time(parent, "corpus_build", || {
         Corpus::build(ssl, x509, meta, &excluded, issuers, interner)
     });
     corpus.ct = ct_summary;
     record_corpus_metrics(obs, &corpus);
     corpus
-}
-
-/// Filter dispatch: with gossip evidence the proof-carrying [`ctverify`]
-/// stage runs, without it the legacy bare-issuer comparison (so file sets
-/// and captures that carry no `ct_gossip.log` behave exactly as before).
-fn run_ct_filter(
-    ssl: &[SslRecord],
-    x509: &[X509Record],
-    ct: &CtLog,
-    gossip: &GossipBundle,
-    meta: &MetaKnowledge,
-    interner: &mut Interner,
-) -> (FxHashSet<Symbol>, Vec<String>, CtSummary) {
-    if gossip.is_empty() {
-        let (excluded, issuers) = interception::filter(ssl, x509, ct, meta, interner);
-        (excluded, issuers, CtSummary::default())
-    } else {
-        ctverify::filter(ssl, x509, ct, gossip, meta, interner)
-    }
 }
 
 /// The corpus-level counters and gauges of one corpus build.

@@ -66,7 +66,7 @@ impl Default for CtLog {
 }
 
 /// Lowercase a DNS name without allocating when it already is.
-fn normalize(domain: &str) -> Cow<'_, str> {
+pub(crate) fn normalize(domain: &str) -> Cow<'_, str> {
     if domain.bytes().any(|b| b.is_ascii_uppercase()) {
         Cow::Owned(domain.to_ascii_lowercase())
     } else {
@@ -74,16 +74,22 @@ fn normalize(domain: &str) -> Cow<'_, str> {
     }
 }
 
-/// The wildcard key a lookup for `domain` may also match: replace the
-/// first label with `*`, but only when that leaves a registrable suffix
-/// (at least two labels), the first label is a real single label, and the
-/// name isn't itself a wildcard or partial-wildcard pattern.
-fn wildcard_key(domain: &str) -> Option<String> {
+/// The suffix a single-label wildcard entry must cover for a lookup of
+/// `domain` to match it: `domain` minus its first label, but only when
+/// that leaves a registrable suffix (at least two labels), the first label
+/// is a real single label, and the name isn't itself a wildcard or
+/// partial-wildcard pattern. The entry that matches is `*.{suffix}`.
+pub(crate) fn wildcard_suffix(domain: &str) -> Option<&str> {
     let (first, rest) = domain.split_once('.')?;
     if first.is_empty() || first.contains('*') || !rest.contains('.') {
         return None;
     }
-    Some(format!("*.{rest}"))
+    Some(rest)
+}
+
+/// The wildcard entry key a lookup for `domain` may also match.
+fn wildcard_key(domain: &str) -> Option<String> {
+    wildcard_suffix(domain).map(|rest| format!("*.{rest}"))
 }
 
 impl CtLog {
@@ -157,71 +163,18 @@ impl CtLog {
         .into_bytes()
     }
 
-    /// Entry indices a lookup for `domain` matches: exact entries plus
-    /// single-label wildcard entries, in submission order. Crate-visible
-    /// so [`crate::gossip::VerifiedCt`] can re-run lookups through its
-    /// trusted-entry mask.
-    pub(crate) fn matching_indices(&self, domain: &str) -> Vec<usize> {
-        let d = normalize(domain);
-        let exact = self.by_domain.get(d.as_ref()).map(Vec::as_slice);
-        let wild = wildcard_key(d.as_ref())
-            .and_then(|k| self.by_domain.get(&k))
-            .map(Vec::as_slice);
-        match (exact, wild) {
-            (Some(e), None) => e.to_vec(),
-            (None, Some(w)) => w.to_vec(),
-            (None, None) => Vec::new(),
-            (Some(e), Some(w)) => {
-                // Merge the two sorted index lists to keep submission order.
-                let mut out = Vec::with_capacity(e.len() + w.len());
-                let (mut i, mut j) = (0, 0);
-                while i < e.len() && j < w.len() {
-                    if e[i] < w[j] {
-                        out.push(e[i]);
-                        i += 1;
-                    } else {
-                        out.push(w[j]);
-                        j += 1;
-                    }
-                }
-                out.extend_from_slice(&e[i..]);
-                out.extend_from_slice(&w[j..]);
-                out
-            }
-        }
-    }
-
-    /// Entry indices for `domain` *exactly* — no wildcard expansion. The
-    /// SCT-strip check uses this: a stripped twin shares the precise FQDN
-    /// with the logged original, and wildcard/SLD matches would drag in
-    /// unrelated renewals.
-    pub(crate) fn exact_indices(&self, domain: &str) -> &[usize] {
-        let d = normalize(domain);
-        self.by_domain.get(d.as_ref()).map_or(&[], Vec::as_slice)
-    }
-
-    /// All logged issuer strings for a domain, in submission order.
-    pub fn issuers_for_domain(&self, domain: &str) -> Vec<&str> {
-        self.matching_indices(domain)
-            .into_iter()
-            .map(|i| self.entries[i].issuer_display.as_str())
-            .collect()
-    }
-
-    /// Whether any logged certificate for `domain` has the given issuer —
-    /// the interception filter's comparison.
+    /// Whether any logged certificate for `domain` (directly or through a
+    /// single-label wildcard entry) has the given issuer — the legacy
+    /// interception filter's comparison.
     pub fn domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.matching_indices(domain)
-            .into_iter()
-            .any(|i| self.entries[i].issuer_display == issuer_display)
-    }
-
-    /// Whether the precise certificate (by fingerprint) is logged for
-    /// `domain` — what an SCT would attest.
-    pub fn domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.matching_indices(domain)
-            .into_iter()
-            .any(|i| self.entries[i].fingerprint_hex == fingerprint_hex)
+        let d = normalize(domain);
+        let has = |key: &str| {
+            self.by_domain.get(key).is_some_and(|ix| {
+                ix.iter()
+                    .any(|&i| self.entries[i].issuer_display == issuer_display)
+            })
+        };
+        has(d.as_ref()) || wildcard_key(d.as_ref()).is_some_and(|k| has(&k))
     }
 
     /// Whether the domain appears in the log at all (directly or through a
@@ -380,8 +333,7 @@ mod tests {
         let mut log = CtLog::new();
         log.submit(&cert_for("dual.example.org", "DigiCert Inc"));
         log.submit(&cert_for("dual.example.org", "Sectigo Limited"));
-        let issuers = log.issuers_for_domain("dual.example.org");
-        assert_eq!(issuers.len(), 2);
+        assert_eq!(log.len(), 2);
         assert!(log.domain_has_issuer("dual.example.org", "O=DigiCert Inc"));
         assert!(log.domain_has_issuer("dual.example.org", "O=Sectigo Limited"));
     }
@@ -397,7 +349,8 @@ mod tests {
     fn empty_log() {
         let log = CtLog::new();
         assert!(log.is_empty());
-        assert!(log.issuers_for_domain("nope").is_empty());
+        assert!(!log.contains_domain("nope"));
+        assert!(!log.domain_has_issuer("nope", "O=DigiCert Inc"));
     }
 
     #[test]
@@ -409,7 +362,6 @@ mod tests {
         assert!(log.contains_domain("example.com"));
         assert!(log.contains_domain("EXAMPLE.com"));
         assert!(log.domain_has_issuer("eXaMpLe.CoM", "O=DigiCert Inc"));
-        assert_eq!(log.issuers_for_domain("EXAMPLE.COM").len(), 1);
     }
 
     #[test]
@@ -442,7 +394,7 @@ mod tests {
         log.submit_entry(entry("*.example.com", "O=DigiCert Inc", "aa"));
         assert!(log.contains_domain("www.example.com"));
         assert!(log.domain_has_issuer("www.example.com", "O=DigiCert Inc"));
-        assert_eq!(log.issuers_for_domain("WWW.Example.Com").len(), 1);
+        assert!(log.domain_has_issuer("WWW.Example.Com", "O=DigiCert Inc"));
         // No partial-label, multi-label, or bare-apex matches.
         assert!(!log.contains_domain("example.com"));
         assert!(!log.contains_domain("a.b.example.com"));
@@ -458,17 +410,17 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_and_exact_entries_merge_in_submission_order() {
+    fn wildcard_and_exact_entries_both_match() {
         let mut log = CtLog::new();
         log.submit_entry(entry("www.example.com", "O=First", "01"));
         log.submit_entry(entry("*.example.com", "O=Second", "02"));
         log.submit_entry(entry("www.example.com", "O=Third", "03"));
-        assert_eq!(
-            log.issuers_for_domain("www.example.com"),
-            vec!["O=First", "O=Second", "O=Third"]
-        );
-        assert!(log.domain_has_fingerprint("www.example.com", "02"));
-        assert!(!log.domain_has_fingerprint("example.com", "02"));
+        for issuer in ["O=First", "O=Second", "O=Third"] {
+            assert!(log.domain_has_issuer("www.example.com", issuer), "{issuer}");
+        }
+        assert!(log.domain_has_issuer("api.example.com", "O=Second"));
+        assert!(!log.domain_has_issuer("api.example.com", "O=First"));
+        assert!(!log.domain_has_issuer("example.com", "O=Second"));
     }
 
     #[test]

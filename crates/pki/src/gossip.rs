@@ -22,11 +22,11 @@
 //! the log is consistent, and only entries with a verifying inclusion
 //! proof against the external reference head when it equivocates.
 
-use crate::ctlog::{CtEntry, CtLog};
+use crate::ctlog::{normalize, wildcard_suffix, CtEntry, CtLog};
 use crate::merkle::leaf_hash;
 use crate::sth::{ConsistencyProof, InclusionProof, SignedTreeHead};
 use mtls_crypto::{hex, KeyId, KeyRegistry, Keypair};
-use mtls_intern::FxHashMap;
+use mtls_intern::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
 
 /// Where an STH was observed.
@@ -298,12 +298,34 @@ pub struct VerifyStats {
     pub inclusion_proofs_failed: usize,
 }
 
-/// A [`CtLog`] narrowed to the entries the gossip evidence supports. The
-/// lookup API mirrors the log's own, so the interception filter can run
-/// unchanged over the trusted subset.
+/// A [`CtLog`] narrowed to the entries the gossip evidence supports,
+/// indexed for lookup: the query API mirrors the log's own, so the
+/// interception filter runs unchanged over the trusted subset, and every
+/// query costs at most two hash probes (the exact name plus its wildcard
+/// suffix) however many entries a domain has.
 pub struct VerifiedCt<'a> {
-    log: &'a CtLog,
-    trusted: Vec<bool>,
+    /// Trusted entries keyed by their (lowercased) domain.
+    exact: TrustedIndex<'a>,
+    /// Trusted single-label wildcard entries `*.{suffix}`, keyed by
+    /// `suffix` so a lookup probes without building the `*.` key.
+    wild: TrustedIndex<'a>,
+}
+
+/// Per-key sets of the trusted entries' domains, issuers and fingerprints,
+/// borrowed from the log.
+#[derive(Default)]
+struct TrustedIndex<'a> {
+    keys: FxHashSet<&'a str>,
+    issuers: FxHashSet<(&'a str, &'a str)>,
+    fingerprints: FxHashSet<(&'a str, &'a str)>,
+}
+
+impl<'a> TrustedIndex<'a> {
+    fn insert(&mut self, key: &'a str, entry: &'a CtEntry) {
+        self.keys.insert(key);
+        self.issuers.insert((key, &entry.issuer_display));
+        self.fingerprints.insert((key, &entry.fingerprint_hex));
+    }
 }
 
 impl<'a> VerifiedCt<'a> {
@@ -324,7 +346,7 @@ impl<'a> VerifiedCt<'a> {
     ) -> (VerifiedCt<'a>, VerifyStats) {
         let mut stats = VerifyStats::default();
         let verdict = audit.for_log(log.log_id());
-        let trusted = match verdict.and_then(|v| v.reference.as_ref().map(|r| (v, r))) {
+        let trusted: Vec<bool> = match verdict.and_then(|v| v.reference.as_ref().map(|r| (v, r))) {
             None => vec![false; log.len()],
             Some((verdict, reference)) if !verdict.split_view => {
                 let head = reference.tree_size;
@@ -358,64 +380,62 @@ impl<'a> VerifiedCt<'a> {
                     .collect()
             }
         };
-        stats.entries_verified = trusted.iter().filter(|t| **t).count();
+        let mut view = VerifiedCt {
+            exact: TrustedIndex::default(),
+            wild: TrustedIndex::default(),
+        };
+        for (entry, _) in log.entries().iter().zip(&trusted).filter(|(_, t)| **t) {
+            stats.entries_verified += 1;
+            view.exact.insert(&entry.domain, entry);
+            if let Some(suffix) = entry.domain.strip_prefix("*.") {
+                view.wild.insert(suffix, entry);
+            }
+        }
         stats.entries_rejected = log.len() - stats.entries_verified;
-        (VerifiedCt { log, trusted }, stats)
+        (view, stats)
     }
 
-    fn trusted_indices(&self, domain: &str) -> Vec<usize> {
-        self.log
-            .matching_indices(domain)
-            .into_iter()
-            .filter(|&i| self.trusted[i])
-            .collect()
+    /// Probe the exact index under the (lowercased) domain and, when the
+    /// name has one, the wildcard index under its wildcard suffix.
+    fn probe(&self, domain: &str, hit: impl Fn(&TrustedIndex, &str) -> bool) -> bool {
+        let d = normalize(domain);
+        hit(&self.exact, &d) || wildcard_suffix(&d).is_some_and(|suffix| hit(&self.wild, suffix))
     }
 
     /// Whether any *trusted* entry covers the domain.
     pub fn contains_domain(&self, domain: &str) -> bool {
-        !self.trusted_indices(domain).is_empty()
+        self.probe(domain, |ix, key| ix.keys.contains(key))
     }
 
     /// Whether a trusted entry for `domain` has the given issuer.
     pub fn domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.trusted_indices(domain)
-            .into_iter()
-            .any(|i| self.log.entries()[i].issuer_display == issuer_display)
+        self.probe(domain, |ix, key| {
+            ix.issuers.contains(&(key, issuer_display))
+        })
     }
 
     /// Whether the precise certificate is covered by a trusted entry.
     pub fn domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.trusted_indices(domain)
-            .into_iter()
-            .any(|i| self.log.entries()[i].fingerprint_hex == fingerprint_hex)
-    }
-
-    /// Number of trusted entries.
-    pub fn trusted_len(&self) -> usize {
-        self.trusted.iter().filter(|t| **t).count()
-    }
-
-    fn trusted_exact(&self, domain: &str) -> impl Iterator<Item = &CtEntry> {
-        self.log
-            .exact_indices(domain)
-            .iter()
-            .filter(|&&i| self.trusted[i])
-            .map(|&i| &self.log.entries()[i])
+        self.probe(domain, |ix, key| {
+            ix.fingerprints.contains(&(key, fingerprint_hex))
+        })
     }
 
     /// Whether a trusted entry names this *exact* domain (no wildcard
     /// expansion) under the given issuer — the SCT-strip check's premise:
     /// "CT vouches for this very FQDN under this very issuer".
     pub fn exact_domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.trusted_exact(domain)
-            .any(|e| e.issuer_display == issuer_display)
+        let d = normalize(domain);
+        self.exact.issuers.contains(&(d.as_ref(), issuer_display))
     }
 
     /// Whether a trusted entry logs this precise certificate for this
     /// *exact* domain.
     pub fn exact_domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.trusted_exact(domain)
-            .any(|e| e.fingerprint_hex == fingerprint_hex)
+        let d = normalize(domain);
+        self.exact
+            .fingerprints
+            .contains(&(d.as_ref(), fingerprint_hex))
     }
 }
 
@@ -574,6 +594,252 @@ mod tests {
         bundle.consistency_proofs.clear();
         let audit = SplitViewDetector::audit(&bundle);
         assert_eq!(audit.split_views(), 1);
+    }
+
+    /// The pre-index lookup semantics, spelled out as a scan over the
+    /// entries a trust mask admits: exact names match case-insensitively,
+    /// and a `*.{suffix}` entry matches a name whose first label is a real
+    /// single label followed by `suffix` (which must have two labels).
+    struct ScanReference<'l> {
+        log: &'l CtLog,
+        mask: Vec<bool>,
+    }
+
+    impl ScanReference<'_> {
+        fn trusted(&self) -> impl Iterator<Item = &CtEntry> {
+            self.log
+                .entries()
+                .iter()
+                .zip(&self.mask)
+                .filter(|(_, t)| **t)
+                .map(|(e, _)| e)
+        }
+
+        fn matches(&self, query: &str, wildcards: bool) -> Vec<&CtEntry> {
+            let q = query.to_ascii_lowercase();
+            let wild = q.split_once('.').and_then(|(first, rest)| {
+                (wildcards && !first.is_empty() && !first.contains('*') && rest.contains('.'))
+                    .then(|| format!("*.{rest}"))
+            });
+            self.trusted()
+                .filter(|e| e.domain == q || wild.as_deref() == Some(e.domain.as_str()))
+                .collect()
+        }
+
+        fn assert_agrees(
+            &self,
+            view: &VerifiedCt,
+            queries: &[String],
+            issuers: &[&str],
+            fps: &[&str],
+        ) {
+            for q in queries {
+                let all = self.matches(q, true);
+                let exact = self.matches(q, false);
+                assert_eq!(view.contains_domain(q), !all.is_empty(), "contains {q}");
+                for &issuer in issuers {
+                    let hit = |es: &[&CtEntry]| es.iter().any(|e| e.issuer_display == issuer);
+                    assert_eq!(view.domain_has_issuer(q, issuer), hit(&all), "{q} {issuer}");
+                    assert_eq!(
+                        view.exact_domain_has_issuer(q, issuer),
+                        hit(&exact),
+                        "exact {q} {issuer}"
+                    );
+                }
+                for &fp in fps {
+                    let hit = |es: &[&CtEntry]| es.iter().any(|e| e.fingerprint_hex == fp);
+                    assert_eq!(view.domain_has_fingerprint(q, fp), hit(&all), "{q} {fp}");
+                    assert_eq!(
+                        view.exact_domain_has_fingerprint(q, fp),
+                        hit(&exact),
+                        "exact {q} {fp}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// xorshift64* — a dependency-free deterministic stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn pick<'s>(&mut self, from: &[&'s str]) -> &'s str {
+            from[(self.next() % from.len() as u64) as usize]
+        }
+
+        /// Flip the case of about a third of the letters.
+        fn mixed_case(&mut self, s: &str) -> String {
+            s.chars()
+                .map(|c| {
+                    if self.next().is_multiple_of(3) {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        }
+    }
+
+    const LABELS: &[&str] = &["www", "api", "a", "mail"];
+    const BASES: &[&str] = &["example.com", "corp.example.net", "x.org"];
+    const ISSUERS: &[&str] = &["O=DigiCert Inc", "O=Sectigo Limited", "O=Let's Encrypt"];
+    const FPS: &[&str] = &["01", "02", "03", "04", "05", "06"];
+
+    /// A random log over a small name pool: exact hosts, bare bases,
+    /// single-label wildcards and a nested wildcard, submitted in mixed
+    /// case, with repeats (deduplicated by the log).
+    fn random_entries(rng: &mut Rng, n: usize) -> Vec<CtEntry> {
+        (0..n)
+            .map(|_| {
+                let (label, base) = (rng.pick(LABELS), rng.pick(BASES));
+                let domain = match rng.next() % 4 {
+                    0 => format!("{label}.{base}"),
+                    1 => base.to_string(),
+                    2 => format!("*.{base}"),
+                    _ => format!("*.{label}.{base}"),
+                };
+                entry(&rng.mixed_case(&domain), rng.pick(ISSUERS), rng.pick(FPS))
+            })
+            .collect()
+    }
+
+    /// Every name shape a lookup can take, in mixed case.
+    fn queries(rng: &mut Rng) -> Vec<String> {
+        let mut out = Vec::new();
+        for base in BASES {
+            out.push(base.to_string());
+            out.push(format!("*.{base}"));
+            out.push(format!("b.a.{base}"));
+            out.push(format!("w*.{base}"));
+            out.push(format!(".{base}"));
+            for label in LABELS {
+                out.push(format!("{label}.{base}"));
+                out.push(format!("x.{label}.{base}"));
+            }
+        }
+        out.extend(["com", "", "unknown.example.org", "*.com"].map(String::from));
+        out.iter().map(|q| rng.mixed_case(q)).collect()
+    }
+
+    #[test]
+    fn index_agrees_with_scan_reference_on_random_logs() {
+        let mut issuers = ISSUERS.to_vec();
+        issuers.push("O=Evil Proxy");
+        let mut fps = FPS.to_vec();
+        fps.push("ff");
+        for seed in 1..=12u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let len = 10 + (rng.next() % 30) as usize;
+            let entries = random_entries(&mut rng, len);
+            let honest = CtLog::from_entries(entries);
+            let n = honest.len() as u64;
+            let qs = queries(&mut rng);
+
+            // Consistent log whose agreed head is a strict prefix: only the
+            // entries below it are trusted.
+            let campus_at = 1 + rng.next() % n;
+            let head = campus_at + rng.next() % (n - campus_at + 1);
+            let bundle = GossipBundle {
+                observations: vec![
+                    CtObservation {
+                        vantage: Vantage::CampusBorder,
+                        sth: honest.sth_at(campus_at, 1).unwrap(),
+                    },
+                    CtObservation {
+                        vantage: Vantage::ExternalMonitor,
+                        sth: honest.sth_at(head, 2).unwrap(),
+                    },
+                ],
+                consistency_proofs: vec![honest.prove_consistency(campus_at, head).unwrap()],
+                entry_proofs: Vec::new(),
+                log_keys: vec![honest.keypair().clone()],
+            };
+            let audit = SplitViewDetector::audit(&bundle);
+            assert_eq!(audit.split_views(), 0);
+            let (view, stats) = VerifiedCt::build(&honest, &audit, &bundle);
+            let reference = ScanReference {
+                log: &honest,
+                mask: (0..n).map(|i| i < head).collect(),
+            };
+            assert_eq!(stats.entries_verified, head as usize);
+            reference.assert_agrees(&view, &qs, &issuers, &fps);
+
+            // Split view: fabricated entries spliced into the campus view,
+            // and inclusion proofs for a random subset of the honest ones.
+            let mut campus = CtLog::new();
+            let at = (rng.next() % (n + 1)) as usize;
+            for e in &honest.entries()[..at] {
+                campus.submit_entry(e.clone());
+            }
+            for _ in 0..3 {
+                let domain = format!("{}.{}", rng.pick(LABELS), rng.pick(BASES));
+                campus.submit_entry(entry(&domain, "O=Evil Proxy", "ff"));
+            }
+            for e in &honest.entries()[at..] {
+                campus.submit_entry(e.clone());
+            }
+            let proven: Vec<bool> = (0..n).map(|_| !rng.next().is_multiple_of(3)).collect();
+            let bundle = GossipBundle {
+                observations: vec![
+                    CtObservation {
+                        vantage: Vantage::CampusBorder,
+                        sth: campus.sth(1),
+                    },
+                    CtObservation {
+                        vantage: Vantage::ExternalMonitor,
+                        sth: honest.sth(2),
+                    },
+                ],
+                consistency_proofs: Vec::new(),
+                entry_proofs: (0..n)
+                    .filter(|&i| proven[i as usize])
+                    .map(|i| {
+                        let leaf = CtLog::leaf_bytes(&honest.entries()[i as usize]);
+                        (leaf_hash(&leaf), honest.prove_inclusion(i, n).unwrap())
+                    })
+                    .collect(),
+                log_keys: vec![honest.keypair().clone()],
+            };
+            let audit = SplitViewDetector::audit(&bundle);
+            assert_eq!(audit.split_views(), 1);
+            let (view, _) = VerifiedCt::build(&campus, &audit, &bundle);
+            let mask = campus
+                .entries()
+                .iter()
+                .map(|e| {
+                    honest
+                        .entries()
+                        .iter()
+                        .position(|h| h == e)
+                        .is_some_and(|i| proven[i])
+                })
+                .collect();
+            ScanReference { log: &campus, mask }.assert_agrees(&view, &qs, &issuers, &fps);
+
+            // A log the gossip never observed: nothing is trusted.
+            let absent = CtLog::from_entries(random_entries(&mut rng, 12));
+            let mut stranger = CtLog::with_key_seed(b"some other log");
+            for e in random_entries(&mut rng, 4) {
+                stranger.submit_entry(e);
+            }
+            let bundle = honest_bundle(&stranger, 1);
+            let audit = SplitViewDetector::audit(&bundle);
+            let (view, stats) = VerifiedCt::build(&absent, &audit, &bundle);
+            assert_eq!(stats.entries_verified, 0);
+            ScanReference {
+                log: &absent,
+                mask: vec![false; absent.len()],
+            }
+            .assert_agrees(&view, &qs, &issuers, &fps);
+        }
     }
 
     #[test]

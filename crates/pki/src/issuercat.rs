@@ -181,13 +181,90 @@ pub fn edit_distance_capped(a: &str, b: &str, cap: usize) -> usize {
     prev[b.len()]
 }
 
+/// [`DUMMY_ORGS`] after [`normalize_org`], in the same order (pinned by a
+/// unit test), so a dummy test never re-normalises the constants.
+const DUMMY_ORGS_NORM: [&str; DUMMY_ORGS.len()] = [
+    "internet widgits pty ltd",
+    "default company ltd",
+    "unspecified",
+    "acme co",
+    "example inc",
+    "someorganization",
+];
+
+/// Edit-distance budget of the dummy match.
+const DUMMY_CAP: usize = 2;
+
+/// Longest normalised dummy, in bytes (pinned by a unit test).
+const DUMMY_MAX_LEN: usize = 24;
+
+/// A normalised organization longer than this is more than
+/// [`DUMMY_CAP`] edits from every dummy.
+const NORM_BUF: usize = DUMMY_MAX_LEN + DUMMY_CAP;
+
 /// Whether the organization fuzzily matches a known dummy default
 /// (edit distance ≤ 2 after normalization).
+///
+/// Allocation-free, with the same verdict as [`normalize_org`] followed
+/// by [`edit_distance_capped`]`(…, 2)` against each dummy: the input is
+/// normalised into a stack buffer, abandoning it as soon as it outgrows
+/// every dummy by more than the budget, and the distance rows live on the
+/// stack too.
 pub fn is_dummy_org(org: &str) -> bool {
-    let norm = normalize_org(org);
-    DUMMY_ORGS
+    let mut buf = [0u8; NORM_BUF];
+    let mut len = 0;
+    // A run separator is owed once an alphanumeric char has been written
+    // and a non-alphanumeric one follows; it is only written before the
+    // next alphanumeric char, so trailing separators never appear.
+    let mut owe_space = false;
+    for ch in org.chars() {
+        let c = ch.to_ascii_lowercase();
+        if !c.is_alphanumeric() {
+            owe_space = len > 0;
+            continue;
+        }
+        let need = usize::from(owe_space) + c.len_utf8();
+        if len + need > NORM_BUF {
+            return false;
+        }
+        if owe_space {
+            buf[len] = b' ';
+            len += 1;
+            owe_space = false;
+        }
+        len += c.encode_utf8(&mut buf[len..]).len();
+    }
+    let norm = &buf[..len];
+    DUMMY_ORGS_NORM
         .iter()
-        .any(|d| edit_distance_capped(&norm, &normalize_org(d), 2) <= 2)
+        .any(|d| within_dummy_cap(norm, d.as_bytes()))
+}
+
+/// `edit_distance_capped(a, b, DUMMY_CAP) <= DUMMY_CAP` for a `b` no
+/// longer than [`DUMMY_MAX_LEN`], on stack rows.
+fn within_dummy_cap(a: &[u8], b: &[u8]) -> bool {
+    if a.len().abs_diff(b.len()) > DUMMY_CAP {
+        return false;
+    }
+    let mut prev = [0usize; DUMMY_MAX_LEN + 1];
+    let mut cur = [0usize; DUMMY_MAX_LEN + 1];
+    for (j, p) in prev[..=b.len()].iter_mut().enumerate() {
+        *p = j;
+    }
+    for (i, &ca) in a.iter().enumerate() {
+        cur[0] = i + 1;
+        let mut row_min = cur[0];
+        for (j, &cb) in b.iter().enumerate() {
+            let cost = usize::from(ca != cb);
+            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
+            row_min = row_min.min(cur[j + 1]);
+        }
+        if row_min > DUMMY_CAP {
+            return false;
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[b.len()] <= DUMMY_CAP
 }
 
 /// Classify a (possibly absent) issuer organization string. `is_public` is
@@ -289,6 +366,39 @@ mod tests {
         assert!(is_dummy_org("Internet Widgits Pty Ltd "));
         assert!(is_dummy_org("Internet Widgit Pty Ltd")); // 1 deletion
         assert!(!is_dummy_org("Honeywell International Inc"));
+    }
+
+    #[test]
+    fn normalized_dummy_table_is_pinned() {
+        assert_eq!(DUMMY_ORGS_NORM.len(), DUMMY_ORGS.len());
+        for (raw, norm) in DUMMY_ORGS.iter().zip(DUMMY_ORGS_NORM) {
+            assert_eq!(normalize_org(raw), norm, "{raw}");
+        }
+        assert_eq!(
+            DUMMY_MAX_LEN,
+            DUMMY_ORGS
+                .iter()
+                .map(|d| normalize_org(d).len())
+                .max()
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn dummy_match_edges() {
+        // Exactly two edits in, three edits out, also at the length cap.
+        assert!(is_dummy_org("Acme Coxx"));
+        assert!(!is_dummy_org("Acme Coxxx"));
+        assert!(is_dummy_org("Internet Widgits Pty Ltdxx"));
+        assert!(!is_dummy_org("Internet Widgits Pty Ltdxxx"));
+        // Separators collapse and do not count against the length cap.
+        assert!(is_dummy_org("--Internet,,,Widgits   Pty---Ltd!!!"));
+        // Past the longest dummy plus the budget: rejected early.
+        assert!(!is_dummy_org("Internet Widgits Pty Ltd Extra"));
+        // Non-ASCII alphanumerics stay in the normalised bytes.
+        assert!(is_dummy_org("Acmé Co"));
+        assert!(!is_dummy_org("Ācmē Cō"));
+        assert!(!is_dummy_org(""));
     }
 
     #[test]

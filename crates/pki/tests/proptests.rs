@@ -1,11 +1,13 @@
 //! Property tests for the PKI substrate: CRLs round-trip for arbitrary
 //! entry sets, policies never panic and are monotone (strict flags ⊇
-//! enterprise flags for the shared rule set), and issuer categorization is
-//! total.
+//! enterprise flags for the shared rule set), issuer categorization is
+//! total, and the allocation-free dummy matcher agrees with the
+//! normalise-then-edit-distance reference.
 
 use mtls_asn1::Asn1Time;
 use mtls_crypto::Keypair;
 use mtls_pki::crl::{CertificateRevocationList, CrlBuilder, RevocationReason};
+use mtls_pki::issuercat::{edit_distance_capped, is_dummy_org, normalize_org, DUMMY_ORGS};
 use mtls_pki::{classify_issuer_org, CertificateAuthority, ValidationPolicy};
 use mtls_x509::{CertificateBuilder, DistinguishedName, KeyAlgorithm, SerialNumber, Version};
 use proptest::prelude::*;
@@ -27,8 +29,71 @@ fn arb_reason() -> impl Strategy<Value = RevocationReason> {
     ]
 }
 
+/// The dummy verdict spelled out the slow way: normalise both sides, then
+/// the capped edit distance against every dummy.
+fn dummy_reference(org: &str) -> bool {
+    let norm = normalize_org(org);
+    DUMMY_ORGS
+        .iter()
+        .any(|d| edit_distance_capped(&norm, &normalize_org(d), 2) <= 2)
+}
+
+/// Characters the near-miss mutator splices in: case flips, separators
+/// that normalise away, and multi-byte alphanumerics that do not.
+const EDIT_POOL: &[char] = &[
+    'a', 'E', 'x', 'Z', '0', ' ', '.', ',', '-', '_', 'é', 'ß', '中', 'λ', '\u{00A0}', 'İ',
+];
+
+/// A dummy string after `edits` random insertions, deletions and
+/// substitutions (op, position, pool index).
+fn near_dummy(which: usize, edits: &[(u8, usize, usize)]) -> String {
+    let mut chars: Vec<char> = DUMMY_ORGS[which % DUMMY_ORGS.len()].chars().collect();
+    for &(op, pos, pick) in edits {
+        let c = EDIT_POOL[pick % EDIT_POOL.len()];
+        let at = pos % (chars.len() + 1);
+        match op % 3 {
+            0 => chars.insert(at, c),
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ if at < chars.len() => chars[at] = c,
+            _ => chars.push(c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dummy_matcher_equals_reference_on_near_misses(
+        which in 0usize..64,
+        edits in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64), 0..6),
+        upper in any::<bool>(),
+    ) {
+        let mut org = near_dummy(which, &edits);
+        if upper {
+            org = org.to_uppercase();
+        }
+        prop_assert_eq!(is_dummy_org(&org), dummy_reference(&org), "{:?}", org);
+    }
+
+    #[test]
+    fn dummy_matcher_equals_reference_on_arbitrary_text(org in "\\PC{0,40}") {
+        prop_assert_eq!(is_dummy_org(&org), dummy_reference(&org), "{:?}", org);
+    }
+
+    #[test]
+    fn dummy_matcher_equals_reference_on_long_text(
+        which in 0usize..64,
+        pad in "[a-z .,é中]{20,80}",
+    ) {
+        let dummy = DUMMY_ORGS[which % DUMMY_ORGS.len()];
+        for org in [format!("{dummy}{pad}"), format!("{pad}{dummy}"), pad.clone()] {
+            prop_assert_eq!(is_dummy_org(&org), dummy_reference(&org), "{:?}", org);
+        }
+    }
 
     #[test]
     fn crl_round_trips(

@@ -276,6 +276,10 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
     for path in [
         "pipeline",
         "pipeline/interception_filter",
+        "pipeline/interception_filter/ct_audit",
+        "pipeline/interception_filter/ct_verify",
+        "pipeline/interception_filter/issuer_aggregate",
+        "pipeline/interception_filter/sct_strip",
         "pipeline/corpus_build",
         "pipeline/analyze",
         "pipeline/analyze/prevalence",
